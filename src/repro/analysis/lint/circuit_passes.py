@@ -412,38 +412,3 @@ class CodegenCompilabilityPass(LintPass):
                 "conditions as the incremental engine)",
             )
 
-
-@register_pass
-class VectorizabilityPass(LintPass):
-    """PV209: batch-engine declines must be visible, not silent.
-
-    ``run_batch(..., engine="vector")`` quietly falls back to
-    sequential compiled runs when the lockstep vector engine
-    (:mod:`repro.dataflow.vector`) declines a circuit — correct, but
-    it forfeits the batched-throughput win the caller asked for.  This
-    pass surfaces the decline reason ahead of time, mirroring PV208
-    for the compiled engine.  The vector engine's restrictions are a
-    strict superset of the compiled engine's, so a PV208 finding
-    implies a PV209 finding; the extra conditions this pass can catch
-    alone are numpy availability and inline component classes whose
-    ``flush`` override the engine does not mirror in its lane planes.
-    """
-
-    name = "circuit-vectorizability"
-    layer = "circuit"
-    codes = ("PV209",)
-    requires = ("circuit",)
-
-    def run(self, ctx: LintContext) -> None:
-        from ...dataflow.vector import why_not_vectorizable
-
-        reason = why_not_vectorizable(ctx.circuit)
-        if reason is not None:
-            ctx.emit(
-                "PV209",
-                f"circuit is not vectorizable: {reason}",
-                location=ctx.circuit.name,
-                hint="batched runs of this structure fall back to "
-                "sequential compiled simulation; see "
-                "repro.dataflow.vector.why_not_vectorizable",
-            )

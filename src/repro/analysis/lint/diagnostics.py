@@ -85,7 +85,6 @@ CODES: Dict[str, Tuple[Severity, str]] = {
     "PV206": (Severity.INFO, "dimension reduction collapsed overlapped pairs"),
     "PV207": (Severity.ERROR, "component class lacks an audited scheduling contract"),
     "PV208": (Severity.WARNING, "circuit is not compilable by the codegen engine"),
-    "PV209": (Severity.INFO, "circuit is not vectorizable by the lockstep batch engine"),
     # --- PVSan sanitizer layer (PV3xx) --------------------------------
     "PV301": (Severity.INFO, "pair proven independent; its PreVV entry can be dropped"),
     "PV302": (Severity.INFO, "loop-carried distance bounds the premature window"),

@@ -36,24 +36,6 @@ QUICK_SIZES: Dict[str, Dict[str, int]] = {
 #: Allowed slow-down per point before ``--check`` fails.
 REGRESSION_TOLERANCE = 0.25
 
-#: Lanes per batched-throughput point: the ISSUE's reference workload is
-#: one ``run_batch`` of 64 identical lanes vs 64 sequential compiled runs.
-BATCHED_LANES = 64
-
-#: ``--check`` fails when the batched speedup geomean drops below this.
-BATCHED_MIN_GEOMEAN = 3.0
-
-#: (kernel, config-name) points for the batched-throughput section: two
-#: plain-memory kernels under the Dynamatic baseline and two PreVV
-#: squash-heavy kernels, so both the fast path and the squash/replay
-#: machinery are under the gate.
-BATCHED_POINTS = (
-    ("vadd", "dynamatic"),
-    ("gaussian", "prevv16"),
-    ("triangular", "dynamatic"),
-    ("fig2b", "prevv16"),
-)
-
 
 def _instrument_attribution(circuit) -> Dict[str, Dict]:
     """Wrap every component's ``propagate`` with a per-class meter.
@@ -224,135 +206,6 @@ def run_bench(quick: bool = True, jobs: int = 1,
         "pre_opt_table2_s": PRE_OPT_TABLE2_SECONDS,
         "points": points,
     }
-
-
-# ----------------------------------------------------------------------
-# Batched throughput: ``python -m repro.bench --batched``
-# ----------------------------------------------------------------------
-def bench_batched_point(kernel_name: str, config,
-                        sizes: Optional[Dict[str, int]],
-                        batch: int = BATCHED_LANES,
-                        max_cycles: int = 2_000_000) -> Dict:
-    """Time one batched point against its sequential-compiled baseline.
-
-    The workload is ``batch`` identical lanes of one kernel: once through
-    ``run_batch(..., engine="vector")`` (one wall clock for the whole
-    batch, including compile/prepare and the content-dedup layer) and
-    once as ``batch`` sequential ``run_kernel(engine="compiled")`` calls.
-    Identical lanes are the representative batch-API workload (parameter
-    sweeps re-run the same request many times); varied-input lanes ride
-    the lockstep planes at roughly scalar-compiled parity and are pinned
-    bit-identical by ``tests/dataflow/test_vector.py``, not timed here.
-    ``lane_cycles_per_sec`` counts every lane's simulated cycles per
-    wall second, so both columns share one unit.
-    """
-    from ..eval.runner import run_batch, run_kernel
-
-    def lanes():
-        return [
-            get_kernel(kernel_name, **(sizes or {})) for _ in range(batch)
-        ]
-
-    started = time.perf_counter()
-    results = run_batch(lanes(), config, max_cycles=max_cycles,
-                        engine="vector")
-    batched_wall = time.perf_counter() - started
-    lane_cycles = sum(r.cycles for r in results)
-
-    started = time.perf_counter()
-    scalar_cycles = 0
-    for kernel in lanes():
-        scalar_cycles += run_kernel(
-            kernel, config, max_cycles=max_cycles, engine="compiled"
-        ).cycles
-    scalar_wall = time.perf_counter() - started
-
-    if scalar_cycles != lane_cycles:
-        raise RuntimeError(
-            f"{kernel_name}/{config.name}: batched lanes ran "
-            f"{lane_cycles} cycles but the scalar baseline ran "
-            f"{scalar_cycles}; the speedup would compare different work"
-        )
-    return {
-        "kernel": kernel_name,
-        "config": config.name,
-        "batch": batch,
-        # a silent sequential fallback must be visible, not buried in an
-        # implausible 1.0x ratio
-        "engine": results[0].engine,
-        "engine_requested": "vector",
-        "lane_cycles": lane_cycles,
-        "batched_wall_s": round(batched_wall, 4),
-        "scalar_wall_s": round(scalar_wall, 4),
-        "batched_lane_cycles_per_sec": (
-            round(lane_cycles / batched_wall) if batched_wall > 0 else None
-        ),
-        "scalar_lane_cycles_per_sec": (
-            round(lane_cycles / scalar_wall) if scalar_wall > 0 else None
-        ),
-        "speedup": (
-            round(scalar_wall / batched_wall, 2) if batched_wall > 0
-            else None
-        ),
-    }
-
-
-def run_batched(quick: bool = True, batch: int = BATCHED_LANES,
-                points: Sequence = BATCHED_POINTS) -> Dict:
-    """Run the batched-throughput section; returns its JSON payload."""
-    import math
-
-    by_name = {c.name: c for c in ALL_CONFIGS}
-    started = time.perf_counter()
-    rows = [
-        bench_batched_point(
-            kname, by_name[cname],
-            QUICK_SIZES.get(kname) if quick else None, batch=batch,
-        )
-        for kname, cname in points
-    ]
-    speedups = [p["speedup"] for p in rows if p["speedup"]]
-    geomean = (
-        round(math.exp(sum(math.log(s) for s in speedups) / len(speedups)), 2)
-        if speedups else None
-    )
-    return {
-        "batch": batch,
-        "min_geomean": BATCHED_MIN_GEOMEAN,
-        "geomean_speedup": geomean,
-        "total_wall_s": round(time.perf_counter() - started, 3),
-        "points": rows,
-    }
-
-
-def check_batched_throughput(section: Optional[Dict],
-                             min_geomean: float = BATCHED_MIN_GEOMEAN):
-    """Gate the batched section; returns error strings.
-
-    The gate is absolute, not baseline-relative: the batch engine earns
-    its keep only while one 64-lane ``run_batch`` beats 64 sequential
-    compiled runs by ``min_geomean`` on the same machine, so both wall
-    clocks share whatever hardware CI gave us.
-    """
-    errors: List[str] = []
-    if section is None:
-        errors.append(
-            "batched_throughput section missing; run with --batched"
-        )
-        return errors
-    for point in section["points"]:
-        tag = f"{point['kernel']}/{point['config']}/batch{point['batch']}"
-        if point["engine"] != "vector":
-            errors.append(
-                f"{tag}: fell back to the {point['engine']} engine"
-            )
-    geomean = section["geomean_speedup"]
-    if geomean is None or geomean < min_geomean:
-        errors.append(
-            f"batched speedup geomean {geomean} < required "
-            f"{min_geomean:.1f}x"
-        )
-    return errors
 
 
 # ----------------------------------------------------------------------
@@ -726,12 +579,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--table2", action="store_true",
                         help="also time a full single-process table2 run "
                         "(the pre-opt baseline's exact workload)")
-    parser.add_argument("--batched", action="store_true",
-                        help="also time the batched-throughput section: "
-                        "one 64-lane run_batch(engine=vector) vs 64 "
-                        "sequential compiled runs per point; --check "
-                        "gates its geomean at >= "
-                        f"{BATCHED_MIN_GEOMEAN:.1f}x")
     parser.add_argument("--configs", metavar="NAMES",
                         help="comma-separated config names to bench "
                         "(e.g. prevv16,prevv64); default: all")
@@ -741,7 +588,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--engine", metavar="NAMES",
                         default="incremental",
                         help="comma-separated engine axis (one bench "
-                        "point per engine): auto, compiled, vector, "
+                        "point per engine): auto, compiled, "
                         "incremental, levelized, reference; default: "
                         "incremental")
     parser.add_argument("--dump-source", metavar="PATH",
@@ -867,8 +714,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                        engines=engines)
     if opts.table2:
         result.update(time_table2(quick=opts.quick))
-    if opts.batched:
-        result["batched_throughput"] = run_batched(quick=opts.quick)
     with open(opts.out, "w") as handle:
         json.dump(result, handle, indent=2)
         handle.write("\n")
@@ -891,21 +736,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                     f"{slot['calls_per_cycle']:>8.3f} evals/cyc  "
                     f"{slot['wall_s']:>7.3f}s ({slot['wall_pct']:.1f}%)"
                 )
-    batched = result.get("batched_throughput")
-    if batched is not None:
-        for point in batched["points"]:
-            print(
-                f"{point['kernel']:12s} {point['config']:10s} "
-                f"batch={point['batch']:<3d} "
-                f"{point['batched_wall_s']:8.3f}s vs "
-                f"{point['scalar_wall_s']:8.3f}s scalar  "
-                f"{point['batched_lane_cycles_per_sec']:>9d} lane-cyc/s  "
-                f"{point['speedup']:6.2f}x"
-            )
-        print(
-            f"batched geomean {batched['geomean_speedup']:.2f}x "
-            f"(gate >= {batched['min_geomean']:.1f}x)"
-        )
     line = (
         f"total {result['total_wall_s']:.2f}s "
         f"(serial {result['serial_wall_s']:.2f}s)"
@@ -922,10 +752,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         with open(opts.check) as handle:
             baseline = json.load(handle)
         errors = check_against_baseline(result, baseline)
-        if opts.batched:
-            errors += check_batched_throughput(
-                result.get("batched_throughput")
-            )
         if errors:
             for err in errors:
                 print("REGRESSION:", err)

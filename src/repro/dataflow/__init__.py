@@ -34,15 +34,6 @@ from .codegen import (
     plan_for,
     why_not_compilable,
 )
-from .vector import (
-    VectorBatch,
-    VectorPlan,
-    VectorSimulator,
-    clear_vector_plan_cache,
-    vector_plan_cache_stats,
-    vector_plan_for,
-    why_not_vectorizable,
-)
 from .tracing import ChannelTrace, OrderTrace
 from .visualize import to_dot
 
@@ -88,13 +79,6 @@ __all__ = [
     "plan_cache_stats",
     "clear_plan_cache",
     "emitted_source",
-    "VectorBatch",
-    "VectorPlan",
-    "VectorSimulator",
-    "why_not_vectorizable",
-    "vector_plan_for",
-    "vector_plan_cache_stats",
-    "clear_vector_plan_cache",
     "ChannelTrace",
     "OrderTrace",
     "to_dot",

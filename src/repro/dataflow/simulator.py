@@ -484,8 +484,7 @@ class Simulator:
 # Engine selection
 # ----------------------------------------------------------------------
 #: engines make_simulator accepts; "auto" prefers compiled when eligible.
-ENGINES = ("auto", "compiled", "vector", "incremental", "levelized",
-           "reference")
+ENGINES = ("auto", "compiled", "incremental", "levelized", "reference")
 
 
 def make_simulator(
@@ -509,9 +508,6 @@ def make_simulator(
       the interpreted engine when the compiler declines (callers must
       read ``sim.engine_name`` for the engine actually used — this is
       what the bench/eval layers record per point).
-    * ``"vector"`` — request the lockstep vector engine (a batch of 1
-      here; ``run_batch`` uses the same engine at full width), falling
-      back to compiled and then interpreted when it declines.
     * ``"incremental"`` / ``"levelized"`` — the interpreted engine with
       the cross-cycle event-driven path requested/disabled.
     * ``"reference"`` — the seed worklist oracle.
@@ -533,25 +529,7 @@ def make_simulator(
             trace=trace,
             collect_stats=True if count_transfers else collect_stats,
         )
-    if engine == "vector" and trace is None and not collect_stats:
-        from ..errors import VectorUnsupportedError
-        from .vector import VectorSimulator
-
-        try:
-            return VectorSimulator(
-                circuit,
-                max_cycles=max_cycles,
-                deadlock_window=deadlock_window,
-                fixpoint_cap=fixpoint_cap,
-                count_transfers=count_transfers,
-            )
-        except VectorUnsupportedError:
-            pass  # compiled fallback below
-    if (
-        engine in ("auto", "compiled", "vector")
-        and trace is None
-        and not collect_stats
-    ):
+    if engine in ("auto", "compiled") and trace is None and not collect_stats:
         from .codegen import CodegenUnsupportedError, CompiledSimulator
 
         try:

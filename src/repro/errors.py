@@ -47,18 +47,6 @@ class CodegenUnsupportedError(SimulationError):
     """
 
 
-class VectorUnsupportedError(SimulationError):
-    """The lockstep vector engine declined a circuit (or a feature request).
-
-    Raised when a circuit is not vectorizable (superset of the codegen
-    restrictions, plus numpy availability), when lanes handed to a
-    ``VectorBatch`` do not share one structural key, or for simulator
-    features the vector engine does not support (tracing, per-channel
-    stall statistics, abort conditions, unsplit done conditions).
-    Engine selection catches this and falls back to the compiled engine.
-    """
-
-
 class IRError(ReproError):
     """Malformed IR (verifier failures, bad builder usage)."""
 

@@ -9,7 +9,7 @@ golden run (the C++ reference), and attach the area/timing estimates
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from ..compile import BuildResult, compile_function
@@ -100,20 +100,6 @@ def make_done_condition(build: BuildResult):
     return done
 
 
-def _prepare(kernel, config: HardwareConfig):
-    """Build one evaluation point up to (but not including) simulation.
-
-    Returns ``(golden, build)``: the interpreter golden run and the
-    compiled circuit with memory initialized — everything a simulator
-    (scalar or one lane of a vector batch) needs to start.
-    """
-    fn = kernel.build_ir()
-    golden = run_golden(fn, args=kernel.args, memory=kernel.memory_init)
-    build = compile_function(fn, config, args=kernel.args)
-    build.memory.initialize(kernel.memory_init)
-    return golden, build
-
-
 def _finalize(
     kernel,
     config: HardwareConfig,
@@ -179,7 +165,10 @@ def run_kernel(
     :attr:`RunResult.engine` records the engine actually used, which may
     be an interpreted fallback when the compiler declines the circuit.
     """
-    golden, build = _prepare(kernel, config)
+    fn = kernel.build_ir()
+    golden = run_golden(fn, args=kernel.args, memory=kernel.memory_init)
+    build = compile_function(fn, config, args=kernel.args)
+    build.memory.initialize(kernel.memory_init)
 
     if collect_stats is None:
         collect_stats = trace is not None
@@ -198,7 +187,7 @@ def run_kernel(
 
 
 # ----------------------------------------------------------------------
-# Batched execution of one compiled circuit structure
+# Sequential evaluation of many input variants
 # ----------------------------------------------------------------------
 def run_batch(
     kernels,
@@ -206,132 +195,20 @@ def run_batch(
     max_cycles: int = 2_000_000,
     engine: str = "compiled",
 ) -> List[RunResult]:
-    """Evaluate many kernel variants under one config in one process.
+    """Evaluate many kernel variants under one config, in input order.
 
     The intended use is sweeping *inputs* of a fixed kernel — different
     sizes, seeds or initial memories produce circuits with the same
     structure (sizes flow through constants and memory contents, not
-    through the netlist).  Inputs are grouped by ``structural_key``
-    internally, so callers may freely mix structures; results always
-    come back in input order.
-
-    * ``engine="vector"``: lanes whose *content* is identical (same
-      kernel name, args, initial memory and config — a deterministic
-      simulation requested more than once, the repeated-request shape
-      ROADMAP's simulation service caches) are deduplicated: one
-      representative lane is simulated and its result is copied to the
-      duplicates.  The remaining distinct lanes of every
-      same-structure group run as one lockstep
-      :class:`~repro.dataflow.vector.VectorBatch` — one engine sweep
-      advances all lanes of the group at once.  Groups the vector
-      engine declines fall back to sequential compiled runs; per-lane
-      results are bit-identical in every path.
-    * Scalar engines: sequential runs, no dedup; the per-structure plan
-      cache already makes every compiled run after a group's first skip
-      compilation entirely (``tests/dataflow/test_codegen.py`` pins one
-      cache miss per structure).
+    through the netlist).  Runs are sequential; the per-structure plan
+    cache makes every compiled run after a structure's first skip
+    compilation entirely (``tests/dataflow/test_codegen.py`` pins one
+    cache miss per structure).
     """
-    # The vector path indexes and re-measures ``kernels`` several times
-    # (dedup scan, prep, demux), so materialize iterators up front —
-    # callers may hand in a generator expression.
-    kernels = list(kernels)
-    if engine != "vector":
-        return [
-            run_kernel(k, config, max_cycles=max_cycles, engine=engine)
-            for k in kernels
-        ]
-
-    from ..dataflow.codegen import structural_key
-    from ..dataflow.vector import VectorBatch
-    from ..errors import VectorUnsupportedError
-
-    def content_key(kernel):
-        return (
-            kernel.name,
-            tuple(sorted(kernel.args.items())),
-            tuple(
-                (name, tuple(values))
-                for name, values in sorted(kernel.memory_init.items())
-            ),
-            repr(config),
-        )
-
-    # Content dedup: only the first lane of each identical-content run
-    # is prepared and simulated; `dups` maps result index -> source.
-    reps: Dict[tuple, int] = {}
-    dups: Dict[int, int] = {}
-    lead: List[int] = []
-    for idx, k in enumerate(kernels):
-        try:
-            key = content_key(k)
-        except TypeError:  # unhashable arg value: treat lane as unique
-            key = ("__lane__", idx)
-        if key in reps:
-            dups[idx] = reps[key]
-        else:
-            reps[key] = idx
-            lead.append(idx)
-
-    preps = [(kernels[i], *_prepare(kernels[i], config)) for i in lead]
-    groups: Dict[tuple, List[int]] = {}
-    for idx, (_k, _golden, build) in enumerate(preps):
-        groups.setdefault(structural_key(build.circuit), []).append(idx)
-
-    results: List[Optional[RunResult]] = [None] * len(preps)
-    for lanes in groups.values():
-        try:
-            batch = VectorBatch(
-                [preps[i][2].circuit for i in lanes],
-                max_cycles=max_cycles,
-            )
-            for lane, i in enumerate(lanes):
-                ctrl = preps[i][2].squash_controller
-                if ctrl is not None:
-                    batch.add_hook(lane, ctrl.end_of_cycle)
-            stats = batch.run(
-                [make_done_condition(preps[i][2]) for i in lanes]
-            )
-        except VectorUnsupportedError:
-            for i in lanes:
-                kernel, golden, build = preps[i]
-                sim = make_simulator(build.circuit, engine="compiled",
-                                     max_cycles=max_cycles)
-                if build.squash_controller is not None:
-                    sim.end_of_cycle_hooks.append(
-                        build.squash_controller.end_of_cycle
-                    )
-                sim.run(make_done_condition(build))
-                results[i] = _finalize(
-                    kernel, config, golden, build,
-                    cycles=sim.stats.cycles,
-                    transfers=sim.stats.transfers,
-                    engine=sim.engine_name,
-                )
-            continue
-        for lane, i in enumerate(lanes):
-            kernel, golden, build = preps[i]
-            results[i] = _finalize(
-                kernel, config, golden, build,
-                cycles=stats[lane].cycles,
-                transfers=stats[lane].transfers,
-                engine="vector",
-            )
-
-    # Demux back to input order, materializing deduplicated lanes as
-    # copies of their representative's result (results are value
-    # objects; the dicts are copied so callers may mutate freely).
-    prep_of = {orig: j for j, orig in enumerate(lead)}
-    out: List[RunResult] = []
-    for idx in range(len(kernels)):
-        src = results[prep_of[dups.get(idx, idx)]]
-        if idx in dups:
-            src = replace(
-                src,
-                memory={k: list(v) for k, v in src.memory.items()},
-                violations_by_kind=dict(src.violations_by_kind),
-            )
-        out.append(src)
-    return out
+    return [
+        run_kernel(k, config, max_cycles=max_cycles, engine=engine)
+        for k in kernels
+    ]
 
 
 # ----------------------------------------------------------------------

@@ -1,9 +1,8 @@
 """PVFuzz: random kernel generation + differential fuzzing of the engines.
 
-The package turns the equivalence/soundness machinery built in PRs 2-6
-(four bit-identical scalar engines, the lockstep vector engine, the PVSan
-sequential-consistency oracle and the PVSan/PVPerf static provers) into a
-bug-finding loop:
+The package turns the repo's equivalence/soundness machinery (the
+bit-identical simulation engines, the PVSan sequential-consistency
+oracle and the PVSan/PVPerf static provers) into a bug-finding loop:
 
 * :mod:`repro.fuzz.spec` — a serializable grammar of fully-nested loop
   kernels (the shape :class:`repro.kernels.Kernel` requires) and its

@@ -23,6 +23,7 @@ import sys
 import time
 from typing import Optional
 
+from ..dataflow import ENGINES
 from .corpus import save_spec
 from .generator import generate_spec
 from .harness import (
@@ -86,6 +87,11 @@ def main(argv: Optional[list] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     engines = tuple(e for e in args.engines.split(",") if e)
+    unknown = [e for e in engines if e not in ENGINES]
+    if unknown:
+        print(f"error: unknown engine {unknown[0]!r}; choose from "
+              f"{', '.join(ENGINES)}", file=sys.stderr)
+        return 2
     mutate = _SABOTAGES[args.sabotage]
 
     out = open(args.out, "w") if args.out else None

@@ -167,61 +167,6 @@ class TestCodegenCompilability:
         assert report.by_code("PV208") == []
 
 
-class TestVectorizability:
-    """PV209: the batch engine's declines must be visible up front."""
-
-    def _clean(self):
-        return line(Source("src", value=1), OpaqueBuffer("b"), Sink("k"))
-
-    def test_pv209_silent_on_vectorizable_circuit(self):
-        report = lint_circuit(self._clean())
-        assert report.by_code("PV209") == []
-
-    def test_pv209_unmirrored_flush_override(self):
-        from repro.analysis.lint import Severity
-
-        circuit = self._clean()
-        # OpaqueBuffer ("oehb") flushes are mirrored by the engine, so
-        # patch a component whose tag is outside the mirrored set.
-        src = next(c for c in circuit.components if c.name == "src")
-        src.flush = type(src).flush.__get__(src)
-        report = lint_circuit(circuit)
-        pv209 = report.by_code("PV209")
-        assert len(pv209) == 1
-        assert "flush" in pv209[0].message
-        assert pv209[0].severity is Severity.INFO
-        # the compiled engine does not care about flush overrides, so
-        # this is the one decline PV209 reports that PV208 does not.
-        assert report.by_code("PV208") == []
-
-    def test_pv209_subsumes_pv208_declines(self):
-        from repro.dataflow.component import Component
-
-        class OffMenu(Component):
-            pass
-
-        circuit = self._clean()
-        circuit.add(OffMenu("rogue"))
-        report = lint_circuit(circuit)
-        assert report.by_code("PV209") != []
-
-
-@pytest.mark.parametrize("style", ["prevv", "dynamatic"])
-@pytest.mark.parametrize("kernel", kernel_names())
-def test_every_seed_kernel_vectorizes(kernel, style):
-    """Every seed circuit is accepted by the vector engine (no silent
-    sequential fallback in batched runs), under both memory styles."""
-    from repro.compile import compile_function
-    from repro.dataflow.vector import why_not_vectorizable
-    from repro.kernels import get_kernel
-
-    k = get_kernel(kernel)
-    build = compile_function(
-        k.build_ir(), HardwareConfig(memory_style=style), args=k.args
-    )
-    assert why_not_vectorizable(build.circuit) is None
-
-
 @pytest.mark.parametrize("style", ["prevv", "dynamatic"])
 @pytest.mark.parametrize("kernel", kernel_names())
 def test_every_seed_kernel_lints_clean(kernel, style):

@@ -180,6 +180,8 @@ class TestEngineSelection:
         circuit, _ = _pipeline()
         with pytest.raises(ValueError, match="unknown engine"):
             make_simulator(circuit, engine="bogus")
+        with pytest.raises(ValueError, match="unknown engine"):
+            make_simulator(circuit, engine="vector")
 
     def test_stats_request_uses_interpreted_engine(self):
         """Per-channel stall stats force the interpreted engine even

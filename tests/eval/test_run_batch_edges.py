@@ -4,9 +4,8 @@ The batch API is the entry point of the ROADMAP's simulation-service
 story, so the degenerate shapes a service actually receives — empty
 request, single lane, every lane identical, a generator instead of a
 list — must all behave exactly like the obvious sequential loop.
-tests/dataflow/test_vector.py owns the interesting shapes (mixed
-structures, partial duplication, fallback); this module pins the
-boundaries.
+tests/dataflow/test_codegen.py pins the one-compile-per-structure plan
+cache; this module pins the boundaries.
 """
 
 import pytest
@@ -15,7 +14,7 @@ from repro.eval.configs import DYNAMATIC
 from repro.eval.runner import run_batch, run_kernel
 from repro.kernels import get_kernel
 
-ENGINES = ("compiled", "vector")
+ENGINES = ("compiled",)
 
 
 @pytest.mark.parametrize("engine", ENGINES)
@@ -34,11 +33,11 @@ def test_single_kernel_batch(engine):
     )
 
 
-def test_all_duplicate_lanes_single_simulation():
-    """Sixteen identical requests: one lane simulated, sixteen results,
-    each owning its memory dict."""
+def test_all_duplicate_lanes_sequential():
+    """Sixteen identical requests: sixteen equal results, each owning
+    its memory dict."""
     kernels = [get_kernel("vadd", n=9) for _ in range(16)]
-    batch = run_batch(kernels, DYNAMATIC, engine="vector")
+    batch = run_batch(kernels, DYNAMATIC)
     assert len(batch) == 16
     base = run_kernel(get_kernel("vadd", n=9), DYNAMATIC,
                       engine="compiled")
@@ -49,8 +48,7 @@ def test_all_duplicate_lanes_single_simulation():
 
 @pytest.mark.parametrize("engine", ENGINES)
 def test_generator_input_accepted(engine):
-    """A generator expression works: the batch path materializes its
-    input before the multi-pass dedup/prep/demux scans."""
+    """A generator expression works like a list."""
     sizes = [5, 7, 5, 11]
     batch = run_batch(
         (get_kernel("vadd", n=n) for n in sizes),
