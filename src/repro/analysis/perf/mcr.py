@@ -7,15 +7,23 @@ traversals per clock, so any computation that must send one token per
 iteration around it has ``II >= L / C``.  Finding the binding constraint
 is therefore a maximum-cycle-ratio problem over the token-flow graph.
 
-The solver is Lawler-style iterative improvement with exact rational
-arithmetic: starting from a ratio every cycle beats, repeatedly find a
-cycle whose weight ``sum(L - lambda * C)`` is positive under the current
-candidate ``lambda`` (Bellman-Ford longest-path relaxation with
-positive-cycle extraction), tighten ``lambda`` to that cycle's exact
-ratio, and stop when no cycle beats it.  Each round strictly increases
-``lambda`` within the finite set of simple-cycle ratios, so termination
-is guaranteed, and the final cycle — the *critical cycle* — is returned
-alongside the ratio.
+The solver is Lawler-style iterative improvement: starting from a ratio
+every cycle beats, repeatedly find a cycle whose weight
+``sum(L - lambda * C)`` is positive under the current candidate
+``lambda`` (Bellman-Ford longest-path relaxation with positive-cycle
+extraction), tighten ``lambda`` to that cycle's exact ratio, and stop
+when no cycle beats it.  Each round strictly increases ``lambda`` within
+the finite set of simple-cycle ratios, so termination is guaranteed,
+and the final cycle — the *critical cycle* — is returned alongside the
+ratio.
+
+Relaxation runs on integers.  For ``lambda = p/q`` (``q > 0``) each edge
+weighs ``L*q - p*C``: ``q`` times its rational weight.  Scaling every
+weight by one positive constant preserves every comparison Bellman-Ford
+makes, so the relaxation order, the predecessor chains and the extracted
+cycle are exactly those of the rational computation.  The ratio itself
+stays exact: ``lambda`` is carried between rounds, and returned, as a
+:class:`~fractions.Fraction`.
 
 Edges with ``capacity=None`` (components whose storage the model cannot
 bound) are excluded: a cycle through unbounded storage imposes no
@@ -29,7 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, NoReturn, Optional, Sequence, Set, Tuple
 
 
 @dataclass(frozen=True)
@@ -119,71 +127,79 @@ def _zero_capacity_cycle(
 
 def _positive_cycle(
     n_nodes: int,
-    edges: Sequence[RatioEdge],
-    edge_indices: Sequence[int],
+    src: Sequence[int],
+    dst: Sequence[int],
+    weights: Sequence[int],
     lam: Fraction,
 ) -> Optional[List[int]]:
-    """A cycle with ``sum(latency - lam * capacity) > 0``, or ``None``.
+    """Edge positions (into ``src``/``dst``) of a positive cycle, or ``None``.
 
-    Bellman-Ford longest-path relaxation from a virtual source connected
-    to every node with weight 0.  If any edge still relaxes after
-    ``n_nodes`` full rounds, a positive cycle exists and is extracted by
-    walking the predecessor chain.
+    ``weights[k]`` is edge ``k``'s ``latency - lam * capacity`` scaled by
+    ``lam``'s denominator.  Bellman-Ford longest-path relaxation from a
+    virtual source connected to every node with weight 0.  If any edge
+    still relaxes after ``n_nodes`` full rounds, a positive cycle exists
+    and is extracted by walking the predecessor chain.
     """
-    dist: Dict[int, Fraction] = {}
-    pred: Dict[int, int] = {}  # node -> edge index that last improved it
-    zero = Fraction(0)
-    weights = {
-        idx: Fraction(edges[idx].latency) - lam * edges[idx].capacity
-        for idx in edge_indices
-    }
-    for node in range(n_nodes):
-        dist[node] = zero
+    dist = [0] * n_nodes
+    pred = [-1] * n_nodes  # node -> edge position that last improved it
+    n_edges = len(weights)
+    order = list(enumerate(zip(src, dst, weights)))
 
-    witness: Optional[int] = None
-    for round_no in range(n_nodes + 1):
+    witness = -1
+    for _ in range(n_nodes + 1):
         changed = False
-        for idx in edge_indices:
-            edge = edges[idx]
-            cand = dist[edge.src] + weights[idx]
-            if cand > dist[edge.dst]:
-                dist[edge.dst] = cand
-                pred[edge.dst] = idx
+        for k, (s, d, w) in order:
+            cand = dist[s] + w
+            if cand > dist[d]:
+                dist[d] = cand
+                pred[d] = k
                 changed = True
-                witness = edge.dst
+                witness = d
         if not changed:
             return None
-    # A node updated in the final round lies on, or is reachable from, a
-    # positive cycle: walking predecessors n steps lands inside it.  A
-    # broken predecessor chain (possible when relaxation has not yet
-    # propagated around the cycle) aborts the extraction — the caller
-    # then keeps its current bound, which stays a sound lower bound.
+    # ``witness`` was the last node relaxed in round n+1, so its
+    # predecessor chain is exactly as it stood at that update.  A chain
+    # ending at a node with no predecessor would make ``dist[witness]``
+    # a simple path's weight, which n rounds had already reached — so
+    # the walk always closes a cycle, and walking n steps lands inside
+    # it.  A break means the solver itself is wrong: returning would
+    # silently under-state the maximum, so abort loudly instead.
     node = witness
     for _ in range(n_nodes):
-        eidx = pred.get(node)
-        if eidx is None:
-            return None
-        node = edges[eidx].src
+        k = pred[node]
+        if k < 0:
+            _broken_chain(n_nodes, n_edges, lam)
+        node = src[k]
     cycle: List[int] = []
     seen: Set[int] = set()
     while node not in seen:
         seen.add(node)
-        eidx = pred.get(node)
-        if eidx is None:
-            return None
-        cycle.append(eidx)
-        node = edges[eidx].src
+        k = pred[node]
+        if k < 0:
+            _broken_chain(n_nodes, n_edges, lam)
+        cycle.append(k)
+        node = src[k]
     # The pred-walk collects edges dst->src order; keep only the simple
     # cycle closing at the revisited node, then restore forward order.
     start = node
     trimmed: List[int] = []
-    for eidx in cycle:
-        trimmed.append(eidx)
-        if edges[eidx].src == start:
+    for k in cycle:
+        trimmed.append(k)
+        if src[k] == start:
             break
     trimmed.reverse()
     k = trimmed.index(min(trimmed))
     return trimmed[k:] + trimmed[:k]
+
+
+def _broken_chain(n_nodes: int, n_edges: int, lam: Fraction) -> NoReturn:
+    # RuntimeError, not a ReproError: no caller may catch this and fall
+    # back to a weaker bound.
+    raise RuntimeError(
+        f"internal error in max_cycle_ratio: broken predecessor chain "
+        f"after a strict relaxation in round {n_nodes + 1} "
+        f"(V={n_nodes}, E={n_edges}, lambda={lam})"
+    )
 
 
 def max_cycle_ratio(
@@ -224,18 +240,28 @@ def max_cycle_ratio(
     if best is not None:
         lam = best.ratio
 
+    # Flat per-edge lists, hoisted once; position k is edge bounded[k].
+    src = [edges[i].src for i in bounded]
+    dst = [edges[i].dst for i in bounded]
+    lat = [edges[i].latency for i in bounded]
+    cap = [edges[i].capacity for i in bounded]
     while True:
-        cycle = _positive_cycle(n_nodes, edges, bounded, lam)
-        if cycle is None:
+        p, q = lam.numerator, lam.denominator
+        weights = [l * q - p * c for l, c in zip(lat, cap)]
+        found = _positive_cycle(n_nodes, src, dst, weights, lam)
+        if found is None:
             return best
-        latency = sum(edges[i].latency for i in cycle)
-        capacity = sum(edges[i].capacity for i in cycle)
+        latency = sum(lat[k] for k in found)
+        capacity = sum(cap[k] for k in found)
         ratio = Fraction(latency, capacity)
         if best is not None and ratio <= best.ratio:
             # Numerically impossible (the cycle was strictly positive
             # under lam = best.ratio) but guards against livelock.
             return best
         best = CriticalCycle(
-            ratio=ratio, latency=latency, capacity=capacity, edges=tuple(cycle)
+            ratio=ratio,
+            latency=latency,
+            capacity=capacity,
+            edges=tuple(bounded[k] for k in found),
         )
         lam = ratio

@@ -1,5 +1,6 @@
 """Unit tests for the PVPerf ratio graph and its exact MCR solver."""
 
+import random
 from fractions import Fraction
 
 from repro.analysis.perf import (
@@ -120,6 +121,74 @@ class TestMaxCycleRatio:
         cycle = max_cycle_ratio(3, edges)
         assert cycle.ratio == Fraction(5, 7)
         assert isinstance(cycle.ratio, Fraction)
+
+    def test_matches_brute_force_cycle_enumeration(self):
+        rng = random.Random(20260413)
+        for _ in range(5000):
+            n_nodes = rng.randint(1, 7)
+            edges = [
+                RatioEdge(
+                    rng.randrange(n_nodes),
+                    rng.randrange(n_nodes),
+                    latency=rng.randint(0, 4),
+                    capacity=rng.choice([None, 0, 1, 2, 3, 5]),
+                )
+                for _ in range(rng.randint(0, 14))
+            ]
+            cycles = _simple_cycles(n_nodes, edges)
+            got = max_cycle_ratio(n_nodes, edges)
+            context = (n_nodes, edges)
+            if not cycles:
+                assert got is None, context
+                continue
+            assert got is not None, context
+            _assert_simple_cycle(edges, got.edges)
+            assert got.latency == sum(edges[i].latency for i in got.edges)
+            assert got.capacity == sum(edges[i].capacity for i in got.edges)
+            if any(sum(edges[i].capacity for i in c) == 0 for c in cycles):
+                assert got.is_combinational, context
+                assert got.capacity == 0, context
+                continue
+            best = max(
+                Fraction(
+                    sum(edges[i].latency for i in c),
+                    sum(edges[i].capacity for i in c),
+                )
+                for c in cycles
+            )
+            assert got.ratio == best, context
+
+
+def _simple_cycles(n_nodes, edges):
+    """Every simple cycle over the bounded edges, as edge-index lists.
+
+    Each cycle is enumerated once, from its smallest node; parallel
+    edges give distinct cycles.
+    """
+    out = {node: [] for node in range(n_nodes)}
+    for idx, edge in enumerate(edges):
+        if edge.capacity is not None:
+            out[edge.src].append(idx)
+    cycles = []
+
+    def walk(start, node, path, on_path):
+        for idx in out[node]:
+            nxt = edges[idx].dst
+            if nxt == start:
+                cycles.append(path + [idx])
+            elif nxt > start and nxt not in on_path:
+                walk(start, nxt, path + [idx], on_path | {nxt})
+
+    for start in range(n_nodes):
+        walk(start, start, [], {start})
+    return cycles
+
+
+def _assert_simple_cycle(edges, cycle):
+    nodes = [edges[i].src for i in cycle]
+    assert len(set(nodes)) == len(nodes), cycle
+    for here, nxt in zip(cycle, cycle[1:] + cycle[:1]):
+        assert edges[here].dst == edges[nxt].src, cycle
 
 
 # ----------------------------------------------------------------------

@@ -2,21 +2,27 @@
 
 The pins freeze the exact critical cycle of three representative seed
 kernels so any change to a ``perf_model`` or to the circuit builder that
-moves the binding constraint is caught.  The soundness grid is the PV404
+moves the binding constraint is caught.  ``critical_cycles.jsonl`` goes
+further: the whole cycle (ratio, latency, capacity and the channel
+sequence) of every registered kernel at its default size under every
+paper configuration, so a solver change that picks a different cycle of
+the same ratio is caught too.  The soundness grid is the PV404
 contract in miniature: every static lower bound must stay at or below
 its measured counterpart (the full grid runs in ``repro.bench --perf``).
 """
 
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from repro.analysis.lint import lint_kernel
-from repro.analysis.perf import compare, measure_kernel, predict
+from repro.analysis.perf import compare, cycle_report, measure_kernel, predict
 from repro.compile import compile_function
 from repro.eval.configs import ALL_CONFIGS, BY_NAME
 from repro.ir.interpreter import run_golden
-from repro.kernels import get_kernel
+from repro.kernels import get_kernel, kernel_names
 
 SIZES = {
     "fig2b": {},
@@ -32,6 +38,13 @@ CRITICAL_CYCLE_PINS = [
     ("fig2b", Fraction(1, 6), 1, 6),
     ("gaussian", Fraction(1, 2), 1, 2),
     ("recurrence", Fraction(1, 6), 1, 6),
+]
+
+CRITICAL_CYCLE_TABLE = [
+    json.loads(line)
+    for line in (Path(__file__).parent / "critical_cycles.jsonl")
+    .read_text()
+    .splitlines()
 ]
 
 
@@ -52,6 +65,37 @@ def test_critical_cycle_pins(kernel_name, ratio, latency, capacity):
     assert cycle.ratio == ratio
     assert cycle.latency == latency
     assert cycle.capacity == capacity
+
+
+def test_critical_cycle_table_covers_every_kernel_and_config():
+    pinned = {(row["kernel"], row["config"]) for row in CRITICAL_CYCLE_TABLE}
+    assert pinned == {
+        (name, config.name)
+        for name in kernel_names()
+        for config in ALL_CONFIGS
+    }
+
+
+@pytest.mark.parametrize(
+    "pin",
+    CRITICAL_CYCLE_TABLE,
+    ids=lambda row: f"{row['kernel']}-{row['config']}",
+)
+def test_critical_cycle_table(pin):
+    kernel = get_kernel(pin["kernel"])
+    build = compile_function(
+        kernel.build_ir(), BY_NAME[pin["config"]], args=kernel.args
+    )
+    pred = predict(build)
+    assert pred.cycle is not None
+    report = cycle_report(pred.graph, pred.cycle)
+    assert report == {
+        "ratio": pin["ratio"],
+        "latency": pin["latency"],
+        "capacity": pin["capacity"],
+        "combinational": False,
+        "channels": pin["channels"],
+    }
 
 
 @pytest.mark.parametrize("config", ALL_CONFIGS, ids=lambda c: c.name)
