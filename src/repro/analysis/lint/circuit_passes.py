@@ -408,7 +408,7 @@ class CodegenCompilabilityPass(LintPass):
                 f"circuit is not compilable: {reason}",
                 location=ctx.circuit.name,
                 hint="the two-phase emitted schedule needs an acyclic "
-                "valid network and a TEHB-cut ready network (same "
-                "conditions as the incremental engine)",
+                "valid network and a TEHB-cut ready network; declined "
+                "circuits run on the levelized engine",
             )
 

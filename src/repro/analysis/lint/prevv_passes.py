@@ -239,16 +239,16 @@ class DimensionReductionPass(LintPass):
 class SchedulingContractAuditPass(LintPass):
     """PV207: every component class in a PreVV build must be audited.
 
-    The incremental cross-cycle engine trusts three per-class contract
-    flags (``observes_input_valid``, ``forwards_valid``,
-    ``observes_output_ready``) plus each :meth:`tick`'s changed-state
-    report to decide which components it may skip.  A class whose
-    contract was never checked against its ``propagate``/``tick`` bodies
-    can silently corrupt results (flag too permissive) or de-optimize
-    every PreVV simulation back to full sweeps (flag too conservative).
-    The audit is recorded by setting ``scheduling_contract_audited=True``
-    on the class; this pass refuses any PreVV-build component class that
-    does not carry the marker.
+    The levelized and compiled engines both trust three per-class
+    contract flags (``observes_input_valid``, ``forwards_valid``,
+    ``observes_output_ready``): they shape the levelized schedule, the
+    compiled engine's one-pass waves, and which components a changed
+    signal re-wakes.  A class whose flags were never checked against its
+    ``propagate`` body can silently corrupt results (flag too
+    permissive) or force needless re-evaluation and codegen declines
+    (flag too conservative).  The audit is recorded by setting
+    ``scheduling_contract_audited=True`` on the class; this pass refuses
+    any PreVV-build component class that does not carry the marker.
     """
 
     name = "prevv-scheduling-contract"
@@ -272,7 +272,7 @@ class SchedulingContractAuditPass(LintPass):
                     "does not declare an audited scheduling contract",
                     location=f"{ctx.circuit.name}:{comp.name}",
                     hint="check observes_input_valid / forwards_valid / "
-                    "observes_output_ready and the tick() change report "
-                    "against the class' propagate/tick bodies, then set "
-                    "scheduling_contract_audited = True on the class",
+                    "observes_output_ready against the class' propagate "
+                    "body, then set scheduling_contract_audited = True "
+                    "on the class",
                 )

@@ -21,7 +21,7 @@ from typing import Callable, List, Optional
 
 from ...compile import compile_function
 from ...config import HardwareConfig
-from ...dataflow import Simulator
+from ...dataflow import make_simulator
 from ...dataflow.tracing import OrderTrace
 from ...errors import SimulationError
 from ...ir import run_golden
@@ -49,6 +49,9 @@ class SanitizeResult:
     #: static prover classifications from the sanitize lint layer
     proofs: List[PairProof] = field(default_factory=list)
     trace: Optional[OrderTrace] = None
+    #: simulation engine actually used ("compiled", or "levelized" when
+    #: the compiler declined the circuit, e.g. a patched ``propagate``)
+    engine: str = ""
 
     @property
     def ok(self) -> bool:
@@ -115,7 +118,7 @@ def sanitize_run(
     oracle = SCOracle(fn, golden, report=report, trace=trace)
     oracle.attach(build)
 
-    sim = Simulator(build.circuit, max_cycles=max_cycles, collect_stats=False)
+    sim = make_simulator(build.circuit, max_cycles=max_cycles)
     if build.squash_controller is not None:
         sim.end_of_cycle_hooks.append(build.squash_controller.end_of_cycle)
     # Fail fast on findings no later squash could retract.
@@ -159,4 +162,5 @@ def sanitize_run(
         checks=oracle.checks,
         proofs=proofs,
         trace=trace if keep_trace else None,
+        engine=sim.engine_name,
     )

@@ -20,8 +20,9 @@ from ..eval.runner import make_done_condition
 from ..kernels import PAPER_KERNELS, get_kernel
 
 #: Wall-clock of ``benchmarks/bench_table2_timing.py`` (single process,
-#: reduced sizes) on the reference machine *before* the levelized /
-#: incremental engine landed.  New runs report their speedup against it.
+#: reduced sizes) on the reference machine with the seed worklist engine,
+#: before the levelized schedule landed.  New runs report their speedup
+#: against it.
 PRE_OPT_TABLE2_SECONDS = 21.94
 
 #: Reduced kernel sizes for ``--quick`` (mirrors benchmarks/conftest.py).
@@ -72,7 +73,7 @@ def _instrument_attribution(circuit) -> Dict[str, Dict]:
 
 def bench_point(kernel_name: str, config, sizes: Optional[Dict[str, int]],
                 max_cycles: int = 2_000_000, profile: bool = False,
-                engine: str = "incremental") -> Dict:
+                engine: str = "auto") -> Dict:
     """Time one (kernel, config, engine) point with the stat-free path.
 
     Profile runs install instance-level propagate wrappers, which the
@@ -167,7 +168,7 @@ def run_bench(quick: bool = True, jobs: int = 1,
                 f"unknown config(s) {unknown}; choose from {sorted(known)}"
             )
         grid_configs = [known[name] for name in configs]
-    engine_axis = list(engines or ("incremental",))
+    engine_axis = list(engines or ("auto",))
     bad = [e for e in engine_axis if e not in ENGINES]
     if bad:
         raise ValueError(f"unknown engine(s) {bad}; choose from {ENGINES}")
@@ -240,6 +241,7 @@ def _sanitize_worker(args):
     return {
         "kernel": kname,
         "config": config.name,
+        "engine": result.engine,
         "cycles": result.cycles,
         "checks": result.checks,
         "completed": result.completed,
@@ -502,25 +504,26 @@ def check_against_baseline(result: Dict, baseline: Dict,
                            tolerance: float = REGRESSION_TOLERANCE):
     """Compare a fresh run to a committed baseline; returns error strings.
 
-    Cycle counts must match exactly (the engine is meant to be
-    bit-identical); per-cycle evaluation effort may not regress by more
-    than ``tolerance``.  Raw wall-clock is *not* compared — CI machines
-    vary too much — ``propagate_calls_per_cycle`` is the stable proxy.
+    Points are keyed per engine actually used.  Cycle counts must match
+    exactly (the engines are meant to be bit-identical); per-cycle
+    evaluation effort may not regress by more than ``tolerance``.  Raw
+    wall-clock is *not* compared — CI machines vary too much —
+    ``propagate_calls_per_cycle`` is the stable proxy.  A point with no
+    baseline row for its engine is an error too: skipping it would let
+    a check that compares nothing report "no regression".
     """
     errors: List[str] = []
-    # Points are keyed per engine actually used; baselines predating the
-    # engine column were always the auto-selected incremental engine.
     base_points = {
-        (p["kernel"], p["config"], p.get("engine") or "incremental"): p
+        (p["kernel"], p["config"], p["engine"]): p
         for p in baseline.get("points", [])
     }
     for point in result["points"]:
-        key = (point["kernel"], point["config"],
-               point.get("engine") or "incremental")
+        key = (point["kernel"], point["config"], point["engine"])
+        tag = "/".join(key)
         base = base_points.get(key)
         if base is None:
+            errors.append(f"{tag}: no baseline point for this engine")
             continue
-        tag = f"{key[0]}/{key[1]}/{key[2]}"
         if point["cycles"] != base["cycles"]:
             errors.append(
                 f"{tag}: cycles {point['cycles']} != baseline "
@@ -585,12 +588,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--profile", action="store_true",
                         help="attribute propagate time/evals per "
                         "component class (inflates wall clocks)")
-    parser.add_argument("--engine", metavar="NAMES",
-                        default="incremental",
+    parser.add_argument("--engine", metavar="NAMES", default="auto",
                         help="comma-separated engine axis (one bench "
-                        "point per engine): auto, compiled, "
-                        "incremental, levelized, reference; default: "
-                        "incremental")
+                        "point per engine): auto, compiled, levelized, "
+                        "reference; default: auto")
     parser.add_argument("--dump-source", metavar="PATH",
                         help="write the compiled engine's emitted step "
                         "source for the first (kernel, config) point to "
@@ -697,6 +698,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             status = "ok" if point["ok"] and point["verified"] else "FAIL"
             print(
                 f"{point['kernel']:12s} {point['config']:10s} "
+                f"{point['engine']:9s} "
                 f"{point['cycles']:>8d} cyc  {point['checks']:>8d} checks  "
                 f"{status}"
             )
@@ -755,6 +757,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if errors:
             for err in errors:
                 print("REGRESSION:", err)
+            print(
+                f"{len(errors)} error(s) over {len(result['points'])} "
+                f"point(s) vs {opts.check}"
+            )
             return 1
-        print(f"no regression vs {opts.check}")
+        print(
+            f"compared {len(result['points'])} point(s): "
+            f"no regression vs {opts.check}"
+        )
     return 0

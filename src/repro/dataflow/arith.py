@@ -146,23 +146,19 @@ class Operator(Component):
 
     def tick(self):
         if self.latency == 0:
-            return False
+            return
         ins = self._in_chs or self._bind()
         out_ch = self._out_ch
         pipe = self._pipe
         tail = pipe[-1]
         advance = tail is None or (out_ch.valid and out_ch.ready)
         if not advance:
-            return False
+            return
         toks = self._inputs_valid()
         first = ins[0]
         accepted = toks is not None and first.valid and first.ready
         new_head = self._compute(toks) if accepted else None
-        # Only the tail slot feeds propagate, but any occupied slot moving
-        # is a state change that will reach it; report them all.
-        changed = accepted or any(t is not None for t in pipe)
         self._pipe = [new_head] + pipe[:-1]
-        return changed
 
     def flush(self, domain: int, min_iter: int) -> None:
         self._pipe = [

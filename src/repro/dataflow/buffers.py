@@ -53,15 +53,11 @@ class OpaqueBuffer(Component):
 
     def tick(self):
         out_ch = self._out_ch or self._bind()
-        changed = False
         if self._slot is not None and out_ch.valid and out_ch.ready:
             self._slot = None
-            changed = True
         in_ch = self._in_ch
         if in_ch.valid and in_ch.ready:
             self._slot = in_ch.data
-            changed = True
-        return changed
 
     def flush(self, domain: int, min_iter: int) -> None:
         if self._slot is not None and self._slot.is_squashed_by(domain, min_iter):
@@ -124,11 +120,8 @@ class TransparentBuffer(Component):
         if self._slot is None:
             if in_ch.valid and in_ch.ready and not out_fired:
                 self._slot = in_ch.data
-                return True
         elif out_fired:
             self._slot = None
-            return True
-        return False
 
     def flush(self, domain: int, min_iter: int) -> None:
         if self._slot is not None and self._slot.is_squashed_by(domain, min_iter):
@@ -198,11 +191,8 @@ class TransparentFifo(Component):
                 self._items.popleft()
             if in_fired:
                 self._items.append(in_ch.data)
-            return out_fired or in_fired
-        if in_fired and not out_fired:
+        elif in_fired and not out_fired:
             self._items.append(in_ch.data)
-            return True
-        return False
 
     def flush(self, domain: int, min_iter: int) -> None:
         self._items = deque(
@@ -253,15 +243,11 @@ class Fifo(Component):
 
     def tick(self):
         out_ch = self._out_ch or self._bind()
-        changed = False
         if self._items and out_ch.valid and out_ch.ready:
             self._items.popleft()
-            changed = True
         in_ch = self._in_ch
         if in_ch.valid and in_ch.ready:
             self._items.append(in_ch.data)
-            changed = True
-        return changed
 
     def flush(self, domain: int, min_iter: int) -> None:
         self._items = deque(

@@ -70,12 +70,12 @@ class Component:
     observes_output_ready: bool = True
 
     #: Audit marker for the scheduling contract: a class sets this True
-    #: once its three flags above *and* its :meth:`tick` change report
-    #: have been checked against its ``propagate``/``tick`` bodies.  Every
-    #: component class consumed by a PreVV build must carry the marker —
-    #: the PV207 lint pass enforces it — so a future component with an
-    #: unaudited (hence possibly wrong) contract cannot silently corrupt
-    #: or de-optimize the incremental cross-cycle engine.
+    #: once its three flags above have been checked against its
+    #: ``propagate`` body.  Every component class consumed by a PreVV
+    #: build must carry the marker — the PV207 lint pass enforces it — so
+    #: a future component with an unaudited (hence possibly wrong)
+    #: contract cannot silently corrupt the levelized schedule and wake
+    #: lists that the levelized and compiled engines both trust.
     scheduling_contract_audited: bool = False
 
     def __init__(self, name: str):
@@ -143,16 +143,8 @@ class Component:
     def propagate(self) -> None:
         """Combinational evaluation; override."""
 
-    def tick(self):
-        """Clock-edge state update; override when stateful.
-
-        Return ``False`` when the tick *definitely* left no state behind
-        that could alter :meth:`propagate`'s outputs; any other return
-        (``None``/``True``) makes the simulator's incremental engine
-        re-evaluate the component next cycle.  ``None`` — the implicit
-        return of existing overrides — is therefore always safe, just
-        slower.
-        """
+    def tick(self) -> None:
+        """Clock-edge state update; override when stateful."""
 
     def flush(self, domain: int, min_iter: int) -> None:
         """Drop internal tokens with ``tags[domain] >= min_iter``; override."""

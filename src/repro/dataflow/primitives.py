@@ -48,8 +48,6 @@ class Entry(Component):
     def tick(self):
         if not self._emitted and self.out_fires("out"):
             self._emitted = True
-            return True
-        return False
 
     def reset(self) -> None:
         self._emitted = False
@@ -79,9 +77,6 @@ class Source(Component):
     def tick(self):
         if self.out_fires("out"):
             self.emitted += 1
-            # Only a limited source's outputs depend on the count.
-            return self.limit is not None
-        return False
 
 
 class Sink(Component):
@@ -106,7 +101,6 @@ class Sink(Component):
             self.count += 1
             if self.record:
                 self.received.append(ch.data)
-        return False  # propagate is unconditionally ready regardless
 
     def flush(self, domain: int, min_iter: int) -> None:
         kept = [t for t in self.received if not t.is_squashed_by(domain, min_iter)]
@@ -196,20 +190,16 @@ class Fork(Component):
     def tick(self):
         ch = self.inputs["in"]
         if not ch.valid:
-            return False
+            return
         if ch.ready:
             if any(self._done):
                 self._done = [False] * self.n_outputs
-                return True
-            return False
+            return
         outs = self._out_chs or self._bind()
         done = self._done
-        changed = False
         for i, out_ch in enumerate(outs):
-            if out_ch.valid and out_ch.ready and not done[i]:
+            if out_ch.valid and out_ch.ready:
                 done[i] = True
-                changed = True
-        return changed
 
     def flush(self, domain: int, min_iter: int) -> None:
         # A held token lives in the producer-side channel; the circuit-level

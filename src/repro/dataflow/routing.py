@@ -119,13 +119,12 @@ class ControlMerge(Component):
     def tick(self):
         w = self._winner()
         if w is None:
-            return False
+            return
         if self.inputs[self.in_port(w)].fires:
-            changed = self._done_out or self._done_index or self._locked is not None
             self._done_out = False
             self._done_index = False
             self._locked = None
-            return changed
+            return
         fired = False
         if self.outputs["out"].fires and not self._done_out:
             self._done_out = True
@@ -135,7 +134,6 @@ class ControlMerge(Component):
             fired = True
         if fired:
             self._locked = w
-        return fired
 
     def flush(self, domain: int, min_iter: int) -> None:
         w = self._winner()

@@ -136,10 +136,12 @@ def ready_network_acyclic(circuit: Circuit) -> bool:
     ``C`` that observes output ready: the consumer's driven in-ready
     feeds ``C``'s evaluation.
 
-    The simulator's incremental (cross-cycle event-driven) fixpoint is
-    only sound when every within-cycle signal dependence is acyclic;
-    this is the ready half of that check (:func:`levelize` covers the
-    valid half via its cyclic residue).
+    The compiled engine (:mod:`repro.dataflow.codegen`) settles each
+    wave in one straight-line pass, which is only sound when every
+    within-cycle signal dependence is acyclic; this is the ready half of
+    that check (:func:`levelize` covers the valid half via its cyclic
+    residue).  A circuit failing it is declined and runs on the levelized
+    engine, whose worklist settles any residue.
     """
     adj: Dict[int, Set[int]] = {id(c): set() for c in circuit.components}
     for chan in circuit.channels:

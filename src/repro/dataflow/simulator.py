@@ -49,7 +49,7 @@ from ..errors import ConvergenceError, DeadlockError, SimulationError
 from .arith import Operator
 from .component import Component
 from .circuit import Circuit
-from .schedule import levelize, ready_network_acyclic
+from .schedule import levelize
 
 
 class SimulationStats:
@@ -79,6 +79,8 @@ def _overrides(comp: Component, name: str) -> bool:
 class Simulator:
     """Drives a :class:`Circuit` cycle by cycle."""
 
+    engine_name = "levelized"
+
     def __init__(
         self,
         circuit: Circuit,
@@ -87,7 +89,6 @@ class Simulator:
         fixpoint_cap: int = 10_000,
         trace=None,
         collect_stats: bool = True,
-        incremental: Optional[bool] = None,
     ):
         self.circuit = circuit
         self.max_cycles = max_cycles
@@ -95,10 +96,6 @@ class Simulator:
         self.fixpoint_cap = fixpoint_cap
         self.trace = trace
         self.collect_stats = collect_stats
-        #: None = auto (incremental when sound), False = force classic
-        #: levelized, True = request incremental (still clamped to the
-        #: soundness conditions — it silently degrades, never breaks).
-        self._incremental_request = incremental
         self.stats = SimulationStats()
         self._quiet_cycles = 0
         #: callables invoked after every clock edge (e.g. squash execution)
@@ -180,12 +177,6 @@ class Simulator:
             )
         self._sweep_plan = sweep_plan
         self._drain_plan = drain_plan
-        # Signals each component drives, for the incremental engine's
-        # clear-before-eval (outputs' valid/data, inputs' ready).
-        self._driven = [
-            (tuple(c.outputs.values()), tuple(c.inputs.values()))
-            for c in order
-        ]
 
         n = len(self._channels)
         self._last_valid = bytearray(n)
@@ -212,30 +203,6 @@ class Simulator:
             )
         ]
         self._busy_comps = [c for c in comps if _overrides(c, "is_busy")]
-        self._tick_plan = [(c, pos_of[id(c)]) for c in self._tick_comps]
-
-        # Incremental (cross-cycle event-driven) mode: settled signals
-        # persist between cycles and only components whose watched inputs
-        # or internal state changed are re-evaluated.  Chaotic relaxation
-        # from last cycle's fixpoint is only guaranteed to reach the same
-        # fixpoint as a from-reset evaluation when the per-signal
-        # dependence graph is acyclic: the valid network must levelize
-        # without residue and the ready network must be cut by TEHBs
-        # (``ready_network_acyclic``).  Stats mode keeps the classic
-        # engine — tests that monkey-patch propagate mid-run rely on
-        # every-cycle re-evaluation.
-        self._use_incremental = (
-            self._incremental_request is not False
-            and not self.collect_stats
-            and not self.schedule.cyclic
-            and ready_network_acyclic(circuit)
-        )
-        self._all_dirty = True
-
-    @property
-    def engine_name(self) -> str:
-        """Which interpreted evaluation strategy this instance runs."""
-        return "incremental" if self._use_incremental else "levelized"
 
     # ------------------------------------------------------------------
     # One cycle
@@ -328,83 +295,9 @@ class Simulator:
                 lr[s] = ch.ready
         self.stats.propagate_calls += calls + drained
 
-    def _fixpoint_incremental(self) -> None:
-        """Settle the cycle starting from last cycle's fixpoint.
-
-        No reset: settled signals persist and the worklist was seeded at
-        the previous clock edge with the components whose tick changed
-        state.  Each evaluation *clears* the component's driven signals
-        first (so dropped valids/readys actually fall), re-propagates,
-        and wakes the readers of whatever changed.  Sound only under the
-        acyclicity conditions checked at construction (see
-        ``_use_incremental``).
-        """
-        if self._all_dirty:
-            # Cold start, or an end-of-cycle hook (squash) mutated circuit
-            # state behind the engine's back: one full from-reset sweep.
-            # It also drains any tick-seeded worklist entries.
-            self._all_dirty = False
-            self._fixpoint()
-            return
-        lv = self._last_valid
-        lr = self._last_ready
-        ld = self._last_data
-        queued = self._queued
-        worklist = self._worklist
-        order = self._order
-        drain_plan = self._drain_plan
-        driven = self._driven
-        cap = max(self.fixpoint_cap, 4 * len(order))
-        drained = 0
-        while worklist:
-            drained += 1
-            if drained > cap:
-                self.stats.propagate_calls += drained
-                raise ConvergenceError(
-                    f"{self.circuit.name}: combinational fixpoint did not "
-                    f"settle within {cap} re-evaluations at cycle "
-                    f"{self.stats.cycles}"
-                )
-            pos = heappop(worklist)
-            queued[pos] = 0
-            outs, ins = driven[pos]
-            for ch in outs:
-                ch.valid = False
-                ch.data = None
-            for ch in ins:
-                ch.ready = False
-            order[pos].propagate()
-            dow, dorc, diw, dirc = drain_plan[pos]
-            for ch, s, tgt in dow:
-                v = ch.valid
-                d = ch.data
-                if v != lv[s] or (d is not ld[s] and d != ld[s]):
-                    lv[s] = v
-                    ld[s] = d
-                    if not queued[tgt]:
-                        queued[tgt] = 1
-                        heappush(worklist, tgt)
-            for ch, s in dorc:
-                lv[s] = ch.valid
-                ld[s] = ch.data
-            for ch, s, tgt in diw:
-                r = ch.ready
-                if r != lr[s]:
-                    lr[s] = r
-                    if not queued[tgt]:
-                        queued[tgt] = 1
-                        heappush(worklist, tgt)
-            for ch, s in dirc:
-                lr[s] = ch.ready
-        self.stats.propagate_calls += drained
-
     def step(self) -> int:
         """Simulate one cycle; returns the number of channel transfers."""
-        incremental = self._use_incremental
-        if incremental:
-            self._fixpoint_incremental()
-        else:
-            self._fixpoint()
+        self._fixpoint()
         fired = 0
         if self.collect_stats:
             for chan in self._channels:
@@ -420,21 +313,10 @@ class Simulator:
             ).count("1")
         if self.trace is not None:
             self.trace.capture(self.circuit, self.stats.cycles)
-        if incremental:
-            queued = self._queued
-            worklist = self._worklist
-            for comp, pos in self._tick_plan:
-                if comp.tick() is not False and not queued[pos]:
-                    queued[pos] = 1
-                    heappush(worklist, pos)
-            for hook in self.end_of_cycle_hooks:
-                if hook():
-                    self._all_dirty = True
-        else:
-            for comp in self._tick_comps:
-                comp.tick()
-            for hook in self.end_of_cycle_hooks:
-                hook()
+        for comp in self._tick_comps:
+            comp.tick()
+        for hook in self.end_of_cycle_hooks:
+            hook()
         self.stats.cycles += 1
         self.stats.transfers += fired
         return fired
@@ -484,7 +366,7 @@ class Simulator:
 # Engine selection
 # ----------------------------------------------------------------------
 #: engines make_simulator accepts; "auto" prefers compiled when eligible.
-ENGINES = ("auto", "compiled", "incremental", "levelized", "reference")
+ENGINES = ("auto", "compiled", "levelized", "reference")
 
 
 def make_simulator(
@@ -503,13 +385,13 @@ def make_simulator(
 
     * ``"auto"`` — the compiled engine when eligible (no trace, no
       per-channel stats, circuit accepted by the compiler), otherwise
-      the interpreted :class:`Simulator` with its own auto-selection.
+      the levelized interpreted :class:`Simulator`.
     * ``"compiled"`` — request the compiled engine, but *fall back* to
       the interpreted engine when the compiler declines (callers must
       read ``sim.engine_name`` for the engine actually used — this is
       what the bench/eval layers record per point).
-    * ``"incremental"`` / ``"levelized"`` — the interpreted engine with
-      the cross-cycle event-driven path requested/disabled.
+    * ``"levelized"`` — the interpreted engine (the only one that runs
+      traces and per-channel stats).
     * ``"reference"`` — the seed worklist oracle.
 
     ``count_transfers`` asks for per-channel transfer counts; the
@@ -542,11 +424,6 @@ def make_simulator(
             )
         except CodegenUnsupportedError:
             pass  # interpreted fallback below
-    incremental: Optional[bool] = None
-    if engine == "incremental":
-        incremental = True
-    elif engine == "levelized":
-        incremental = False
     return Simulator(
         circuit,
         max_cycles=max_cycles,
@@ -554,5 +431,4 @@ def make_simulator(
         fixpoint_cap=fixpoint_cap,
         trace=trace,
         collect_stats=True if count_transfers else collect_stats,
-        incremental=incremental,
     )

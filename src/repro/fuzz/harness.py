@@ -6,8 +6,8 @@ config it establishes a baseline with the seed worklist oracle
 
 * **golden-memory** — the baseline's final memory equals the
   interpreter's (the architectural contract every config must meet);
-* **engine-identity** — every other engine (levelized, incremental,
-  compiled; all via :func:`~repro.dataflow.make_simulator`)
+* **engine-identity** — every other engine (levelized, compiled; all
+  via :func:`~repro.dataflow.make_simulator`)
   reproduces the baseline bit-identically: cycles, transfers, squashes,
   squashed iterations and final memory;
 * **oracle** — on PreVV configs, a :func:`~repro.analysis.sanitizer.
@@ -49,7 +49,7 @@ from ..ir import run_golden
 from .spec import KernelSpec, spec_to_kernel
 
 #: engines checked against the reference baseline
-DEFAULT_ENGINES = ("levelized", "incremental", "compiled")
+DEFAULT_ENGINES = ("levelized", "compiled")
 
 #: default config sweep: both baselines + PreVV at two depths
 DEFAULT_CONFIG_NAMES = ("dynamatic", "fast_lsq", "prevv4", "prevv16")

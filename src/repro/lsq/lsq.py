@@ -226,14 +226,6 @@ class LoadStoreQueue(Component):
     def tick(self):
         if self._group_chs is None:
             self._bind()
-        # Anything in flight (or arriving this edge) may move internal
-        # state the propagate above reads; a fully drained LSQ with no
-        # fired inputs provably changes nothing — that is the cheap but
-        # accurate change report the incremental engine needs.
-        fired = any(
-            ch.valid and ch.ready for ch in self.inputs.values()
-        )
-        changed = fired or self.is_busy
         self._tick_responses()
         self._tick_allocation()
         self._tick_port_fills()
@@ -243,7 +235,6 @@ class LoadStoreQueue(Component):
         loads, stores = self._reserved()
         self.max_load_occupancy = max(self.max_load_occupancy, loads)
         self.max_store_occupancy = max(self.max_store_occupancy, stores)
-        return changed
 
     def _tick_responses(self) -> None:
         for i in range(self.n_loads):

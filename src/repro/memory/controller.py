@@ -147,7 +147,6 @@ class MemoryController(Component):
     def tick(self):
         if self._ld_addr_chs is None:
             self._bind()
-        changed = False
         # Deliver matured responses and age the latency pipeline.
         for i in range(self.n_loads):
             queue = self._responses[i]
@@ -157,15 +156,9 @@ class MemoryController(Component):
             if queue[0][0] <= 0 and out_ch.valid and out_ch.ready:
                 queue.popleft()
                 self.completed_loads += 1
-                changed = True
-            head = queue[0] if queue else None
             for item in queue:
                 if item[0] > 0:
                     item[0] -= 1
-                    if item is head and item[0] <= 0:
-                        # The head response matured: next cycle's propagate
-                        # starts driving the port's output valid.
-                        changed = True
         # Accept granted loads.
         for i in range(self.n_loads):
             ch = self._ld_addr_chs[i]
@@ -176,7 +169,6 @@ class MemoryController(Component):
                 token.version = self.memory.version
                 self._responses[i].append([self.load_latency - 1, token])
                 self._rr_load = (i + 1) % self.n_loads
-                changed = True
                 if i in self._load_domains:
                     self.load_progress[i] = ch.data.tag(self._load_domains[i])
         # Commit granted stores.
@@ -193,16 +185,10 @@ class MemoryController(Component):
                 )
                 self.committed_stores += 1
                 self._rr_store = (j + 1) % self.n_stores
-                changed = True
                 if j in self._store_domains:
                     self.store_progress[j] = addr_ch.data.tag(
                         self._store_domains[j]
                     )
-        # Grant-side state (_rr_*) only moves when a port fired, and a
-        # fired port's input channel always changes next cycle (its
-        # producer consumed a token), re-waking this controller — so
-        # ``changed`` is an accurate report for the incremental engine.
-        return changed
 
     def set_port_domain(self, kind: str, port: int, domain: int) -> None:
         """Register the squash domain of a port (PreVV wiring only)."""

@@ -81,7 +81,6 @@ class FakeTokenGenerator(Component):
     def tick(self):
         if self.outputs["out"].fires:
             self.generated += 1
-        return False  # the counter never feeds propagate
 
 
 class DoneTokenGenerator(Component):
@@ -108,4 +107,3 @@ class DoneTokenGenerator(Component):
     def tick(self):
         if self.outputs["out"].fires:
             self.generated += 1
-        return False  # the counter never feeds propagate

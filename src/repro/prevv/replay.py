@@ -129,7 +129,6 @@ class DomainGate(Component):
     def tick(self):
         ins = self._in_chs or self._bind()
         outs = self._out_chs
-        changed = False
         for i in range(self.n_channels):
             out_ch = outs[i]
             if not (out_ch.valid and out_ch.ready):
@@ -137,7 +136,6 @@ class DomainGate(Component):
             # Lane state only ever moves on an output fire: either a
             # replayed entry is consumed or a live token is stored and the
             # iteration counter advances.
-            changed = True
             if self._replay[i]:
                 self._replay[i].popleft()
                 self.replayed_tokens += 1
@@ -146,7 +144,6 @@ class DomainGate(Component):
             if in_ch.valid and in_ch.ready:
                 self._stored[i].append((self._next_iter[i], in_ch.data))
                 self._next_iter[i] += 1
-        return changed
 
     # ------------------------------------------------------------------
     # Squash / retirement interface (driven by the controller)
@@ -307,7 +304,7 @@ class SquashController:
         their first contaminated iteration too, until a fixpoint.
         """
         if not self._pending:
-            return None
+            return
         targets: Dict[int, int] = {}
         for domain, min_iter in self._pending:
             if domain not in targets or min_iter < targets[domain]:
@@ -327,10 +324,6 @@ class SquashController:
                         targets[other_dom] = point
                         changed = True
         self._execute_squashes(targets)
-        # Truthy return tells the simulator's incremental engine that this
-        # hook mutated circuit state (flushed channels, rewound gates), so
-        # every component must be re-evaluated next cycle.
-        return True
 
     def _execute_squashes(self, targets: Dict[int, int]) -> None:
         self.squashes += 1

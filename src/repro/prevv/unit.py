@@ -278,13 +278,13 @@ class PreVVUnit(Component):
         # evaluation count).
         if self.queue.is_full:
             self.queue.record_full_stall()
-        changed = False
+        arrived = False
         # 1. Pull arrivals into the reorder buffers.
         for i, ch in self._port_channels():
             if ch.fires:
                 record = self._decode_cached(i, ch)
                 self._pending[i][record.iteration] = record
-                changed = True
+                arrived = True
                 if not record.fake and not record.done:
                     if record.iteration > self._last_real_iter[i]:
                         self._last_real_iter[i] = record.iteration
@@ -294,7 +294,7 @@ class PreVVUnit(Component):
         # consume validation slots.
         budget = self.validations_per_cycle
         marker_budget = 4 * max(1, len(self.ports))
-        if changed:
+        if arrived:
             self._np_valid = False
         while budget > 0 and marker_budget > 0:
             choice = self._next_processable()
@@ -306,7 +306,6 @@ class PreVVUnit(Component):
             else:
                 budget -= 1
             del self._pending[port_idx][record.iteration]
-            changed = True
             squashed_self = self._process(port_idx, record)
             if not squashed_self:
                 if record.done:
@@ -317,14 +316,7 @@ class PreVVUnit(Component):
             if squashed_self:
                 break
         # 3. Retire entries no future arrival can accuse.
-        if self._retire():
-            changed = True
-        # Change report for the incremental engine: everything the
-        # propagate above reads (_pending sizes, _expected, queue
-        # occupancy/fullness) only moves through the branches that set
-        # ``changed``; squash-path mutations happen in the controller's
-        # end-of-cycle hook, which independently forces a full sweep.
-        return changed
+        self._retire()
 
     # ------------------------------------------------------------------
     # Decoding / ordering
@@ -629,17 +621,16 @@ class PreVVUnit(Component):
             self._port_version_bound(i) for i in range(len(self.ports))
         )
 
-    def _retire(self) -> bool:
-        """Retire validated head entries; True when anything was popped."""
+    def _retire(self) -> None:
+        """Retire validated head entries and advance the retire points."""
         if self.controller.has_pending_squash():
             # A violation was detected this cycle and its squash executes
             # at the clock edge; retiring (and advancing retire points) now
             # could prune the very replay state the squash needs.
-            return False
+            return
         self._resolve_pending_versions()
         watermark = self._watermark()
         min_version = self._min_version()
-        popped = False
         # Head-only retirement, exactly as Fig. 4 describes: "each time an
         # operation in the queue is validated, the head pointer moves one
         # position forward". Entries stuck behind a not-yet-validated head
@@ -654,13 +645,11 @@ class PreVVUnit(Component):
             if not retirable:
                 break
             self.queue.pop_head()
-            popped = True
         for domain in set(cfg.domain for cfg in self.ports):
             point = self.retire_point_for(domain)
             if point > self._notified_points.get(domain, -1):
                 self._notified_points[domain] = point
                 self.controller.notify_retired(domain, point)
-        return popped
 
     def touches_domain(self, domain: int) -> bool:
         return any(cfg.domain == domain for cfg in self.ports)

@@ -51,6 +51,24 @@ class TestRunnerShape:
         assert result.trace is not None
         assert result.trace.of_kind("retire")
 
+    def test_result_records_engine_actually_used(self):
+        result = sanitize_run(get_kernel("fig2b"), PREVV16)
+        assert result.engine == "compiled"
+
+        def patch_propagate(build):
+            comp = build.circuit.components[0]
+            comp.propagate = type(comp).propagate.__get__(comp)
+
+        # An instance-level patch makes the compiler decline: the run
+        # falls back to the levelized engine, and the result says so.
+        patched = sanitize_run(
+            get_kernel("fig2b"), PREVV16, mutate=patch_propagate
+        )
+        assert patched.engine == "levelized"
+        assert patched.ok and patched.verified
+        assert patched.cycles == result.cycles
+        assert patched.checks == result.checks
+
     def test_static_false_skips_prover_diagnostics(self):
         result = sanitize_run(get_kernel("fig2b"), PREVV16, static=False)
         assert result.ok

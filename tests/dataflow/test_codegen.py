@@ -160,7 +160,7 @@ class TestEngineSelection:
         buf = _comp(circuit, "buf")
         buf.propagate = type(buf).propagate.__get__(buf)  # decline trigger
         sim = make_simulator(circuit, engine="compiled")
-        assert sim.engine_name in ("incremental", "levelized")
+        assert sim.engine_name == "levelized"
         sim.run_cycles(20)
         assert sink.values == [3, 3, 3, 3, 3]
 
@@ -168,9 +168,6 @@ class TestEngineSelection:
         circuit, _ = _pipeline()
         assert make_simulator(circuit, engine="levelized").engine_name == (
             "levelized"
-        )
-        assert make_simulator(circuit, engine="incremental").engine_name == (
-            "incremental"
         )
         assert make_simulator(circuit, engine="reference").engine_name == (
             "reference"
@@ -182,13 +179,15 @@ class TestEngineSelection:
             make_simulator(circuit, engine="bogus")
         with pytest.raises(ValueError, match="unknown engine"):
             make_simulator(circuit, engine="vector")
+        with pytest.raises(ValueError, match="unknown engine"):
+            make_simulator(circuit, engine="incremental")
 
     def test_stats_request_uses_interpreted_engine(self):
         """Per-channel stall stats force the interpreted engine even
         under auto — the compiled engine cannot supply them."""
         circuit, _ = _pipeline()
         sim = make_simulator(circuit, engine="auto", collect_stats=True)
-        assert sim.engine_name != "compiled"
+        assert sim.engine_name == "levelized"
 
 
 # ----------------------------------------------------------------------

@@ -1,9 +1,9 @@
-"""The levelized/incremental engine is bit-identical to the seed engine.
+"""The levelized and compiled engines are bit-identical to the seed engine.
 
 :class:`repro.dataflow.reference.ReferenceSimulator` preserves the seed
-worklist algorithm verbatim; these tests pin the rebuilt
-:class:`~repro.dataflow.Simulator` (both the instrumented path and the
-stat-free incremental fast path) and the code-generating
+worklist algorithm verbatim; these tests pin the levelized
+:class:`~repro.dataflow.Simulator` (both its instrumented and its
+stat-free ``step()`` counting paths) and the code-generating
 :class:`~repro.dataflow.CompiledSimulator` to it: same cycle counts,
 same transfer counts, same squash behaviour, same final memory — on
 every paper kernel under every hardware configuration, and on randomly
@@ -81,7 +81,7 @@ def test_kernel_grid_bit_identical(kernel_name, config):
 # arbiter's pending backlog, and gaussian/triangular are the high-squash
 # kernels (real RAW violations -> squash/replay traffic).  These pin the
 # PreVV fast paths (indexed arbiter search, decode cache, cached head
-# candidate, accurate tick reports) bit-identically to the seed engine,
+# candidate) bit-identically to the seed engine,
 # including the *internal* validation verdict counters, not just the
 # architectural outcome.
 PREVV_STRESS_CONFIGS = [
@@ -146,32 +146,6 @@ def test_prevv_stress_grid_bit_identical(kernel_name, config):
     # otherwise this grid silently tests nothing.
     if kernel_name == "gaussian":
         assert reference["squashes"] > 0
-
-
-def test_prevv_stress_points_use_incremental_engine():
-    """Depth-1 / single-validation PreVV circuits must still satisfy the
-    incremental engine's acyclicity conditions — the grid above would
-    silently lose fast-path coverage otherwise."""
-    for config in PREVV_STRESS_CONFIGS:
-        kernel = get_kernel("gaussian", n=4)
-        build = compile_function(
-            kernel.build_ir(), config, args=kernel.args
-        )
-        sim = Simulator(build.circuit, collect_stats=False)
-        assert sim._use_incremental, config.name
-
-
-def test_fast_path_uses_incremental_engine():
-    """The kernels' circuits satisfy the acyclicity conditions, so the
-    stat-free path must actually take the incremental engine (the grid
-    test above would silently lose coverage otherwise)."""
-    kernel = get_kernel("gaussian", n=4)
-    build = compile_function(
-        kernel.build_ir(), ALL_CONFIGS[2], args=kernel.args
-    )
-    sim = Simulator(build.circuit, collect_stats=False)
-    assert sim._use_incremental
-    assert Simulator(build.circuit, collect_stats=True)._use_incremental is False
 
 
 def _random_circuit(stages, fork_at, limit):

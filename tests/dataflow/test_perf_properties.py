@@ -6,8 +6,7 @@ drawn at random, so the critical cycle's latency and capacity change
 shape on every example.  The property is the same one ``compare()``
 checks on kernels — in a window of ``W`` clocks, a cycle of latency
 ``L`` and capacity ``C`` completes at most ``(W + L + C) * C / L``
-traversals — and it must hold on all three engines, including the
-stat-free incremental one.
+traversals — and it must hold on the reference and levelized engines.
 """
 
 from fractions import Fraction
@@ -77,7 +76,6 @@ def _ring_circuit(stages, limit):
 ENGINES = (
     ("reference", lambda c: ReferenceSimulator(c)),
     ("levelized", lambda c: Simulator(c, collect_stats=True)),
-    ("incremental", lambda c: Simulator(c, collect_stats=False)),
 )
 
 
@@ -112,9 +110,8 @@ def test_mcr_bound_holds_on_random_rings(stages, limit, cycles):
         assert cycle.ratio * firings <= Fraction(cycles + slack), engine_name
         counts.append((sink.count, source.emitted, sim.stats.cycles))
 
-    # All three engines agree on the observable outcome.
+    # Both engines agree on the observable outcome.
     assert counts[1] == counts[0]
-    assert counts[2] == counts[0]
 
 
 @settings(max_examples=20, deadline=None)

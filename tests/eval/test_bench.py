@@ -23,8 +23,8 @@ class TestBenchPoint:
         assert "profile" not in point
         # The report must record the engine actually used, not just the
         # one requested — fallbacks have to be visible in the JSON.
-        assert point["engine_requested"] == "incremental"
-        assert point["engine"] == "incremental"
+        assert point["engine_requested"] == "auto"
+        assert point["engine"] == "compiled"
         assert point["evals_per_sec"] > 0
 
     def test_compiled_point_records_engine(self):
@@ -33,7 +33,10 @@ class TestBenchPoint:
         )
         assert point["engine_requested"] == "compiled"
         assert point["engine"] == "compiled"
-        ref = bench_point("polyn_mult", BY_NAME["dynamatic"], SMALL)
+        ref = bench_point(
+            "polyn_mult", BY_NAME["dynamatic"], SMALL, engine="levelized"
+        )
+        assert ref["engine"] == "levelized"
         assert point["cycles"] == ref["cycles"]
 
     def test_profile_attribution(self):
@@ -80,11 +83,11 @@ class TestRunBench:
     def test_engine_axis(self):
         result = run_bench(
             quick=True, kernels=["polyn_mult"], configs=["dynamatic"],
-            engines=["incremental", "compiled"],
+            engines=["levelized", "compiled"],
         )
-        assert result["engines"] == ["incremental", "compiled"]
+        assert result["engines"] == ["levelized", "compiled"]
         assert [p["engine"] for p in result["points"]] == [
-            "incremental", "compiled"
+            "levelized", "compiled"
         ]
         cycles = {p["cycles"] for p in result["points"]}
         assert len(cycles) == 1  # engines agree on architectural time
@@ -107,6 +110,7 @@ class TestCheck:
                 {
                     "kernel": "k",
                     "config": "c",
+                    "engine": "levelized",
                     "cycles": cycles,
                     "propagate_calls_per_cycle": epc,
                 }
@@ -135,6 +139,7 @@ class TestCheck:
             {
                 "kernel": "k",
                 "config": "other",
+                "engine": "levelized",
                 "cycles": 1,
                 "propagate_calls_per_cycle": 1.0,
             }
@@ -143,21 +148,23 @@ class TestCheck:
         assert errors == []
 
     def test_points_are_keyed_per_engine(self):
-        """A compiled point never checks against an incremental baseline
+        """A compiled point never checks against a levelized baseline
         point — their evals/cycle differ by design, not by regression."""
         result = self._payload(epc=400.0)
         result["points"][0]["engine"] = "compiled"
-        errors = check_against_baseline(result, self._payload(epc=50.0))
-        assert errors == []
         baseline = self._payload(epc=50.0)
-        baseline["points"][0]["engine"] = "compiled"
+        baseline["points"].append(
+            dict(result["points"][0])  # compiled row at 400 evals/cycle
+        )
+        assert check_against_baseline(result, baseline) == []
+        baseline["points"][1]["propagate_calls_per_cycle"] = 50.0
         errors = check_against_baseline(result, baseline)
         assert len(errors) == 1 and "compiled" in errors[0]
 
-    def test_engineless_points_default_to_incremental(self):
-        """Baselines predating the engine column still check: the old
-        bench always ran the incremental engine."""
-        result = self._payload(cycles=101)
-        result["points"][0]["engine"] = "incremental"
-        errors = check_against_baseline(result, self._payload(cycles=100))
-        assert len(errors) == 1 and "cycles" in errors[0]
+    def test_point_without_baseline_row_is_error(self):
+        """A point whose engine has no baseline row must fail the check:
+        skipping it would let a run that compares nothing pass."""
+        result = self._payload()
+        result["points"][0]["engine"] = "compiled"
+        errors = check_against_baseline(result, self._payload())
+        assert errors == ["k/c/compiled: no baseline point for this engine"]
