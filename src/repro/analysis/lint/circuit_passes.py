@@ -409,6 +409,6 @@ class CodegenCompilabilityPass(LintPass):
                 location=ctx.circuit.name,
                 hint="the two-phase emitted schedule needs an acyclic "
                 "valid network and a TEHB-cut ready network; declined "
-                "circuits run on the levelized engine",
+                "circuits run on the interpreted reference engine",
             )
 

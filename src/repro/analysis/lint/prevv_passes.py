@@ -239,14 +239,13 @@ class DimensionReductionPass(LintPass):
 class SchedulingContractAuditPass(LintPass):
     """PV207: every component class in a PreVV build must be audited.
 
-    The levelized and compiled engines both trust three per-class
-    contract flags (``observes_input_valid``, ``forwards_valid``,
-    ``observes_output_ready``): they shape the levelized schedule, the
-    compiled engine's one-pass waves, and which components a changed
-    signal re-wakes.  A class whose flags were never checked against its
-    ``propagate`` body can silently corrupt results (flag too
-    permissive) or force needless re-evaluation and codegen declines
-    (flag too conservative).  The audit is recorded by setting
+    The compiled engine trusts three per-class contract flags
+    (``observes_input_valid``, ``forwards_valid``,
+    ``observes_output_ready``): they shape its static schedule and its
+    one-pass valid and ready waves.  A class whose flags were never
+    checked against its ``propagate`` body can silently corrupt results
+    (flag too permissive) or force needless codegen declines (flag too
+    conservative).  The audit is recorded by setting
     ``scheduling_contract_audited=True`` on the class; this pass refuses
     any PreVV-build component class that does not carry the marker.
     """

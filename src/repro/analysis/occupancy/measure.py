@@ -1,9 +1,12 @@
 """Measured peak occupancies, and the static-vs-measured comparison.
 
 The measured side samples every modeled place at every end-of-cycle
-hook of the **levelized** engine — pinned, because the compiled engine
-may inline buffer state into locals and leave the component objects'
-``occupancy`` stale.  End-of-cycle sampling is exact, not an
+hook of whichever engine :func:`~repro.dataflow.make_simulator` picks
+(normally the compiled one).  Both engines commit sequential state onto
+the component objects before the hooks run — the compiled tick
+templates write buffers' ``_slot``/``_items`` directly — so the sampled
+``occupancy`` is never stale, and the engine actually used is recorded
+on the measurement.  End-of-cycle sampling is exact, not an
 approximation: every component's ``tick`` pops its outgoing token
 before pushing the incoming one, so the end-of-tick occupancy *is* the
 cycle's peak.  The premature queue and the LSQ keep their own running
@@ -54,6 +57,8 @@ class OccupancyMeasurement:
     peaks: Dict[str, int] = field(default_factory=dict)
     #: units whose premature queue physically overflowed during the run
     overflowed_units: List[str] = field(default_factory=list)
+    #: simulation engine actually used ("compiled" or "reference")
+    engine: str = ""
 
     @property
     def overflowed(self) -> bool:
@@ -101,8 +106,7 @@ class _PeakSampler:
 
 def measure_build(build, max_cycles: int = 2_000_000) -> OccupancyMeasurement:
     """Simulate one already-initialized build and collect peaks."""
-    sim = make_simulator(build.circuit, engine="levelized",
-                         max_cycles=max_cycles)
+    sim = make_simulator(build.circuit, max_cycles=max_cycles)
     if build.squash_controller is not None:
         sim.end_of_cycle_hooks.append(build.squash_controller.end_of_cycle)
     sampler = _PeakSampler(build.circuit)
@@ -129,6 +133,7 @@ def measure_build(build, max_cycles: int = 2_000_000) -> OccupancyMeasurement:
         cycles=sim.stats.cycles,
         peaks=peaks,
         overflowed_units=overflowed,
+        engine=sim.engine_name,
     )
 
 

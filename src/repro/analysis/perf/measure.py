@@ -88,7 +88,7 @@ def measure_kernel(
     Returns ``(prediction, measurement)`` ready for :func:`compare`.
     The checks need per-channel *transfer* counts only, which the
     compiled engine supplies through its fused counters
-    (``count_transfers``); interpreted engines fall back to the full
+    (``count_transfers``); the interpreted engine falls back to the full
     stats-collecting path.  ``engine="auto"`` therefore measures with
     the compiled engine whenever the compiler accepts the circuit.
     """

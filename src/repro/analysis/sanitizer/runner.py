@@ -49,7 +49,7 @@ class SanitizeResult:
     #: static prover classifications from the sanitize lint layer
     proofs: List[PairProof] = field(default_factory=list)
     trace: Optional[OrderTrace] = None
-    #: simulation engine actually used ("compiled", or "levelized" when
+    #: simulation engine actually used ("compiled", or "reference" when
     #: the compiler declined the circuit, e.g. a patched ``propagate``)
     engine: str = ""
 

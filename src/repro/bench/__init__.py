@@ -4,7 +4,7 @@ Times the seed kernels under all four hardware configurations with the
 stat-free simulator fast path and writes ``BENCH_simulator.json`` so the
 performance trajectory of the cycle-accurate engine is tracked from PR
 to PR.  ``--check`` compares a fresh run against a committed baseline
-and fails on regression (used by the CI bench smoke job).
+and fails on regression (used by the CI compiled-engine smoke job).
 """
 
 from __future__ import annotations
@@ -20,9 +20,9 @@ from ..eval.runner import make_done_condition
 from ..kernels import PAPER_KERNELS, get_kernel
 
 #: Wall-clock of ``benchmarks/bench_table2_timing.py`` (single process,
-#: reduced sizes) on the reference machine with the seed worklist engine,
-#: before the levelized schedule landed.  New runs report their speedup
-#: against it.
+#: reduced sizes) on the reference machine with the seed worklist engine
+#: (today's interpreted ``reference`` engine), before any faster engine
+#: landed.  New runs report their speedup against it.
 PRE_OPT_TABLE2_SECONDS = 21.94
 
 #: Reduced kernel sizes for ``--quick`` (mirrors benchmarks/conftest.py).
@@ -38,69 +38,26 @@ QUICK_SIZES: Dict[str, Dict[str, int]] = {
 REGRESSION_TOLERANCE = 0.25
 
 
-def _instrument_attribution(circuit) -> Dict[str, Dict]:
-    """Wrap every component's ``propagate`` with a per-class meter.
-
-    The engine looks ``comp.propagate`` up at call time (never pre-bound),
-    so an instance-level wrapper attributes evaluation count and wall
-    time to the component's class without changing a single signal.  The
-    timing overhead inflates the *point's* wall clock — profile runs are
-    for attribution, not for absolute throughput numbers.
-    """
-    attribution: Dict[str, Dict] = {}
-    perf = time.perf_counter
-
-    def wrap(comp, slot):
-        inner = comp.propagate
-
-        def metered():
-            t0 = perf()
-            inner()
-            slot["propagate_s"] += perf() - t0
-            slot["propagate_calls"] += 1
-
-        comp.propagate = metered
-
-    for comp in circuit.components:
-        slot = attribution.setdefault(
-            type(comp).__name__,
-            {"instances": 0, "propagate_calls": 0, "propagate_s": 0.0},
-        )
-        slot["instances"] += 1
-        wrap(comp, slot)
-    return attribution
-
-
 def bench_point(kernel_name: str, config, sizes: Optional[Dict[str, int]],
-                max_cycles: int = 2_000_000, profile: bool = False,
-                engine: str = "auto") -> Dict:
+                max_cycles: int = 2_000_000, engine: str = "auto") -> Dict:
     """Time one (kernel, config, engine) point with the stat-free path.
 
-    Profile runs install instance-level propagate wrappers, which the
-    codegen compiler (rightly) declines, so they force the interpreted
-    engine regardless of ``engine``.  The point records both the engine
-    *requested* and the engine actually used — a compiled request that
-    fell back to the interpreter must be visible in the JSON, not buried
-    in an implausible throughput number.
+    The point records both the engine *requested* and the engine
+    actually used — a compiled request that fell back to the interpreter
+    must be visible in the JSON, not buried in an implausible throughput
+    number.
     """
     kernel = get_kernel(kernel_name, **(sizes or {}))
     fn = kernel.build_ir()
     build = compile_function(fn, config, args=kernel.args)
     build.memory.initialize(kernel.memory_init)
-    attribution = (
-        _instrument_attribution(build.circuit) if profile else None
-    )
-    sim = make_simulator(
-        build.circuit,
-        engine="levelized" if profile else engine,
-        max_cycles=max_cycles,
-    )
+    sim = make_simulator(build.circuit, engine=engine, max_cycles=max_cycles)
     if build.squash_controller is not None:
         sim.end_of_cycle_hooks.append(build.squash_controller.end_of_cycle)
     started = time.perf_counter()
     stats = sim.run(make_done_condition(build))
     wall = time.perf_counter() - started
-    point = {
+    return {
         "kernel": kernel_name,
         "config": config.name,
         "engine": sim.engine_name,
@@ -116,28 +73,6 @@ def bench_point(kernel_name: str, config, sizes: Optional[Dict[str, int]],
             round(stats.propagate_calls / wall) if wall > 0 else None
         ),
     }
-    if attribution is not None:
-        total_s = sum(s["propagate_s"] for s in attribution.values())
-        cycles = max(1, stats.cycles)
-        point["profile"] = {
-            cls: {
-                "instances": slot["instances"],
-                "propagate_calls": slot["propagate_calls"],
-                "calls_per_cycle": round(
-                    slot["propagate_calls"] / cycles, 3
-                ),
-                "wall_s": round(slot["propagate_s"], 4),
-                "wall_pct": round(
-                    100.0 * slot["propagate_s"] / total_s, 1
-                ) if total_s > 0 else 0.0,
-            }
-            for cls, slot in sorted(
-                attribution.items(),
-                key=lambda kv: kv[1]["propagate_s"],
-                reverse=True,
-            )
-        }
-    return point
 
 
 def _bench_worker(args):
@@ -147,16 +82,13 @@ def _bench_worker(args):
 def run_bench(quick: bool = True, jobs: int = 1,
               kernels: Optional[Sequence[str]] = None,
               configs: Optional[Sequence[str]] = None,
-              profile: bool = False,
               engines: Optional[Sequence[str]] = None) -> Dict:
     """Run the full grid; returns the BENCH_simulator.json payload.
 
     ``configs`` filters the hardware-configuration axis by name (e.g.
-    ``["prevv16", "prevv64"]`` for the PreVV-only CI gate); ``profile``
-    adds per-component-class propagate time/eval attribution to every
-    point (and inflates wall clocks — see ``_instrument_attribution``).
-    ``engines`` adds an engine axis: one point per engine per (kernel,
-    config), so cross-engine comparisons live in one report.
+    ``["prevv16", "prevv64"]``).  ``engines`` adds an engine axis: one
+    point per engine per (kernel, config), so cross-engine comparisons
+    live in one report.
     """
     knames = list(kernels or PAPER_KERNELS)
     grid_configs = ALL_CONFIGS
@@ -172,15 +104,9 @@ def run_bench(quick: bool = True, jobs: int = 1,
     bad = [e for e in engine_axis if e not in ENGINES]
     if bad:
         raise ValueError(f"unknown engine(s) {bad}; choose from {ENGINES}")
-    if profile and any(e == "compiled" for e in engine_axis):
-        raise ValueError(
-            "--profile instruments propagate per instance, which the "
-            "compiled engine cannot honour; drop --profile or bench an "
-            "interpreted engine"
-        )
     work = [
         (kname, cfg, QUICK_SIZES.get(kname) if quick else None,
-         2_000_000, profile, eng)
+         2_000_000, eng)
         for kname in knames
         for cfg in grid_configs
         for eng in engine_axis
@@ -201,7 +127,6 @@ def run_bench(quick: bool = True, jobs: int = 1,
         "jobs": jobs,
         "configs": [c.name for c in grid_configs],
         "engines": engine_axis,
-        "profile": profile,
         "total_wall_s": round(total, 3),
         "serial_wall_s": serial,
         "pre_opt_table2_s": PRE_OPT_TABLE2_SECONDS,
@@ -408,6 +333,7 @@ def _occupancy_worker(args):
     return {
         "kernel": kname,
         "config": config.name,
+        "engine": measurement.engine,
         "cycles": measurement.cycles,
         "places": len(prediction.bounds),
         "unbounded": sum(
@@ -585,13 +511,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--configs", metavar="NAMES",
                         help="comma-separated config names to bench "
                         "(e.g. prevv16,prevv64); default: all")
-    parser.add_argument("--profile", action="store_true",
-                        help="attribute propagate time/evals per "
-                        "component class (inflates wall clocks)")
     parser.add_argument("--engine", metavar="NAMES", default="auto",
                         help="comma-separated engine axis (one bench "
-                        "point per engine): auto, compiled, levelized, "
-                        "reference; default: auto")
+                        "point per engine): auto, compiled, reference; "
+                        "default: auto")
     parser.add_argument("--dump-source", metavar="PATH",
                         help="write the compiled engine's emitted step "
                         "source for the first (kernel, config) point to "
@@ -632,6 +555,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 status = "UNSAFE"
             print(
                 f"{point['kernel']:12s} {point['config']:10s} "
+                f"{point['engine']:9s} "
                 f"{point['cycles']:>8d} cyc  {point['places']:>4d} places "
                 f"({point['unbounded']} unbounded)  "
                 f"{len(point['checks'])} checks  {status}"
@@ -712,8 +636,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 1 if result["failures"] else 0
     engines = [e.strip() for e in opts.engine.split(",") if e.strip()]
     result = run_bench(quick=opts.quick, jobs=opts.jobs,
-                       configs=configs, profile=opts.profile,
-                       engines=engines)
+                       configs=configs, engines=engines)
     if opts.table2:
         result.update(time_table2(quick=opts.quick))
     with open(opts.out, "w") as handle:
@@ -731,13 +654,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             f"{point['cycles_per_sec']:>8d} cyc/s  "
             f"{point['propagate_calls_per_cycle']:>8.3f} evals/cyc"
         )
-        if opts.profile:
-            for cls, slot in list(point["profile"].items())[:4]:
-                print(
-                    f"    {cls:20s} x{slot['instances']:<3d} "
-                    f"{slot['calls_per_cycle']:>8.3f} evals/cyc  "
-                    f"{slot['wall_s']:>7.3f}s ({slot['wall_pct']:.1f}%)"
-                )
     line = (
         f"total {result['total_wall_s']:.2f}s "
         f"(serial {result['serial_wall_s']:.2f}s)"

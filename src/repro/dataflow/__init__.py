@@ -23,7 +23,6 @@ from .schedule import (
     valid_dependence_edges,
 )
 from .simulator import ENGINES, SimulationStats, Simulator, make_simulator
-from .reference import ReferenceSimulator
 from .codegen import (
     CompiledPlan,
     CompiledSimulator,
@@ -68,7 +67,6 @@ __all__ = [
     "valid_dependence_edges",
     "Simulator",
     "SimulationStats",
-    "ReferenceSimulator",
     "CompiledSimulator",
     "CompiledPlan",
     "make_simulator",

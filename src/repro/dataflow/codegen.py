@@ -1,18 +1,19 @@
 """Compile an elastic circuit's static schedule to straight-line Python.
 
-The interpreted engines (:mod:`repro.dataflow.simulator`) *walk* the
-levelized schedule every cycle: per-component dispatch, per-channel
-watch-list diffing, a heap-ordered drain.  Profiling shows that on the
-audited component library this bookkeeping — not the handshake logic —
-dominates the per-cycle cost.  This module removes it by emitting, once
-per circuit *structure*, a specialized ``step`` function in which the
-whole cycle is straight-line code:
+The interpreted engine (:class:`repro.dataflow.simulator.Simulator`)
+settles every cycle with a generic worklist: per-component dispatch,
+per-channel snapshots and change diffing, and re-evaluation of every
+watcher of a changed channel.  On the audited component library that
+bookkeeping — not the handshake logic — dominates the per-cycle cost.
+This module removes it by emitting, once per circuit *structure*, a
+specialized ``step`` function in which the whole cycle is straight-line
+code:
 
 * **Phase 1 (valid/data)** — every component's forward half is unrolled
   in :func:`~repro.dataflow.schedule.levelize` order.  Library components
   are *inlined* (their ``propagate`` bodies are re-expressed as templates
   over flat local variables, reusing each instance's token caches so
-  token identity matches the interpreted engines); complex stateful
+  token identity matches the interpreted engine); complex stateful
   components (control merges, domain gates, PreVV units, memory
   controllers, LSQs) are *called* through pre-bound method references
   after their driven signals are cleared.
@@ -20,7 +21,7 @@ whole cycle is straight-line code:
   ready-topological order (consumers before observing producers), so the
   backward wave also settles in one pass.  Channel transfers are counted
   at the same time.  The two-pass schedule reaches the interpreted
-  engines' unique least fixpoint because no audited component's output
+  engine's unique least fixpoint because no audited component's output
   valid/data reads its own output ready within a cycle.
 * **Clock edge** — ``tick`` bodies are inlined (or called) with the
   settled signals still in registers.
@@ -38,8 +39,9 @@ cheap.  Circuits the compiler cannot prove safe (unaudited or unknown
 component classes, instance-level ``propagate``/``tick`` patches,
 cyclic valid or ready residue) raise
 :class:`~repro.errors.CodegenUnsupportedError`; engine selection
-(:func:`repro.dataflow.simulator.make_simulator`) falls back to the
-interpreted engine, and the PV208 lint pass makes the fallback visible.
+(:func:`repro.dataflow.simulator.make_simulator`) logs the decline and
+falls back to the interpreted engine, and the PV208 lint pass reports
+the same decline statically.
 """
 
 from __future__ import annotations

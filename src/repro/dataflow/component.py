@@ -42,11 +42,10 @@ class Component:
     #: :meth:`propagate` reads the ``valid``/``data`` of the component's own
     #: input channels.  Components that drive all their signals from
     #: sequential state (opaque buffers, sinks) set this to False, which
-    #: removes them from the combinational valid network, cuts loop
-    #: back-edges out of the levelized schedule, and tells the simulator a
-    #: valid/data change on an input channel can never alter this
-    #: component's outputs (so it is never re-woken by one).  A propagate
-    #: may only ever read its *own* ports' signals; the simulator's change
+    #: removes them from the combinational valid network and cuts loop
+    #: back-edges out of the static schedule the compiled engine unrolls
+    #: (see :func:`~repro.dataflow.schedule.levelize`).  A propagate may
+    #: only ever read its *own* ports' signals; both engines' change
     #: propagation relies on it.
     observes_input_valid: bool = True
 
@@ -54,10 +53,9 @@ class Component:
     #: ``valid``/``data`` through to an *output* channel within the same
     #: cycle.  Components that read input valids only to compute grants /
     #: input readies, while all output valids come from sequential state
-    #: (memory controllers, LSQs), set this to False: they are woken by
-    #: input changes like any observer, but the valid wave terminates at
-    #: them, which removes them — and the loops they sit on — from the
-    #: levelized valid network.
+    #: (memory controllers, LSQs), set this to False: the valid wave
+    #: terminates at them, which removes them — and the loops they sit
+    #: on — from the scheduled valid network.
     forwards_valid: bool = True
 
     #: Dual of :attr:`observes_input_valid` for the backward ready wave:
@@ -65,8 +63,8 @@ class Component:
     #: own output channels.  Components whose input-ready depends only on
     #: internal occupancy (transparent buffers/FIFOs, sources) set this to
     #: False, which cuts the combinational ready chain exactly where the
-    #: hardware's TEHBs cut it and stops the simulator from re-evaluating
-    #: them when a downstream ready rises.
+    #: hardware's TEHBs cut it, so the compiled engine can settle the
+    #: backward wave in one pass.
     observes_output_ready: bool = True
 
     #: Audit marker for the scheduling contract: a class sets this True
@@ -74,8 +72,8 @@ class Component:
     #: ``propagate`` body.  Every component class consumed by a PreVV
     #: build must carry the marker — the PV207 lint pass enforces it — so
     #: a future component with an unaudited (hence possibly wrong)
-    #: contract cannot silently corrupt the levelized schedule and wake
-    #: lists that the levelized and compiled engines both trust.
+    #: contract cannot silently corrupt the static schedule the compiled
+    #: engine trusts.
     scheduling_contract_audited: bool = False
 
     def __init__(self, name: str):

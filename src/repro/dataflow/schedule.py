@@ -17,16 +17,18 @@ a single sweep:
   the graph).
 * :func:`levelize` — Kahn's algorithm over those edges.  The result is a
   :class:`LevelSchedule`: components in topological order (so one forward
-  sweep settles the whole acyclic valid network), each labelled with its
-  ASAP level, plus the *cyclic residue* — components on combinational
-  valid cycles (a mis-built circuit; the PV103 lint pass flags the same
-  structure) which the simulator's worklist fallback still evaluates
-  correctly.
+  sweep settles the whole acyclic valid network), plus the *cyclic
+  residue* — components on combinational valid cycles (a mis-built
+  circuit; the PV103 lint pass flags the same structure).  The compiled
+  engine (:mod:`repro.dataflow.codegen`) unrolls its valid/data wave in
+  this order and declines a circuit with a residue; the interpreted
+  worklist engine still evaluates such a circuit correctly.
 
 The module is also the shared home of the component-graph helpers the
 PV1xx lint passes consume (:func:`token_flow_adjacency`,
-:func:`strongly_connected_components`), so the linter and the simulator
-analyse one and the same graph instead of each rebuilding their own.
+:func:`strongly_connected_components`), so the linter and the compiled
+engine analyse one and the same graph instead of each rebuilding their
+own.
 """
 
 from __future__ import annotations
@@ -42,8 +44,7 @@ def token_flow_adjacency(circuit: Circuit) -> Dict[int, Set[int]]:
     """Producer -> consumer adjacency over components, keyed by ``id()``.
 
     The token-flow graph: one node per component, one edge per channel.
-    Shared by the simulator's schedule construction and the PV103/PV104
-    lint passes.
+    Shared by the PV103/PV104 lint passes.
     """
     adj: Dict[int, Set[int]] = {id(c): set() for c in circuit.components}
     for chan in circuit.channels:
@@ -113,8 +114,8 @@ def valid_dependence_edges(
     but never carry them through to an output (``forwards_valid =
     False`` — memory controllers, LSQs) terminate the valid wave: they
     contribute no incoming edge either, so the loops they sit on drop
-    out of the graph.  The simulator still re-wakes them on input
-    changes through its per-channel wake lists.
+    out of the graph.  The compiled engine still calls them after the
+    valid wave, with every input settled.
     """
     edges: List[Tuple[Component, Component]] = []
     for chan in circuit.channels:
@@ -140,8 +141,9 @@ def ready_network_acyclic(circuit: Circuit) -> bool:
     wave in one straight-line pass, which is only sound when every
     within-cycle signal dependence is acyclic; this is the ready half of
     that check (:func:`levelize` covers the valid half via its cyclic
-    residue).  A circuit failing it is declined and runs on the levelized
-    engine, whose worklist settles any residue.
+    residue).  A circuit failing it is declined and runs on the
+    interpreted :class:`~repro.dataflow.simulator.Simulator`, whose
+    worklist settles any residue.
     """
     adj: Dict[int, Set[int]] = {id(c): set() for c in circuit.components}
     for chan in circuit.channels:
@@ -166,17 +168,9 @@ class LevelSchedule:
     #: every component, acyclic part first in topological (level) order,
     #: then the cyclic residue in circuit-construction order
     order: List[Component]
-    #: ``id(component) -> ASAP level``; residue components share the level
-    #: one past the deepest acyclic level
-    level: Dict[int, int] = field(default_factory=dict)
     #: components on combinational valid cycles (normally empty; a
     #: buffer-free cycle is a PV103 lint error but must still simulate)
     cyclic: List[Component] = field(default_factory=list)
-
-    @property
-    def depth(self) -> int:
-        """Number of distinct levels (the valid network's logic depth)."""
-        return max(self.level.values(), default=-1) + 1
 
 
 def levelize(circuit: Circuit) -> LevelSchedule:
@@ -194,19 +188,13 @@ def levelize(circuit: Circuit) -> LevelSchedule:
         in_degree[id(consumer)] += 1
 
     order: List[Component] = []
-    level: Dict[int, int] = {}
     frontier = [c for c in comps if in_degree[id(c)] == 0]
-    for c in frontier:
-        level[id(c)] = 0
     while frontier:
         next_frontier: List[Component] = []
         for comp in frontier:
             order.append(comp)
             for succ in succs[id(comp)]:
                 in_degree[id(succ)] -= 1
-                lvl = level[id(comp)] + 1
-                if lvl > level.get(id(succ), 0):
-                    level[id(succ)] = lvl
                 if in_degree[id(succ)] == 0:
                     next_frontier.append(succ)
         # Keep construction order within each level for determinism.
@@ -214,8 +202,5 @@ def levelize(circuit: Circuit) -> LevelSchedule:
         frontier = next_frontier
 
     cyclic = [c for c in comps if in_degree[id(c)] > 0]
-    residue_level = max(level.values(), default=-1) + 1
-    for comp in cyclic:
-        level[id(comp)] = residue_level
-        order.append(comp)
-    return LevelSchedule(order=order, level=level, cyclic=cyclic)
+    order.extend(cyclic)
+    return LevelSchedule(order=order, cyclic=cyclic)

@@ -43,7 +43,7 @@ class CodegenUnsupportedError(SimulationError):
     instance-level propagate/tick patches, or cyclic valid/ready residue,
     and for simulator features the compiled engine does not support
     (tracing, per-channel stall statistics).  Engine selection catches
-    this and falls back to the interpreted engine.
+    this, logs it and falls back to the interpreted reference engine.
     """
 
 

@@ -37,7 +37,7 @@ class RunResult:
     queue_full_stalls: int = 0
     lsq_alloc_stalls: int = 0
     transfers: int = 0
-    #: simulation engine actually used ("compiled", "levelized", ...);
+    #: simulation engine actually used ("compiled" or "reference");
     #: may differ from the requested engine when the compiler declines.
     engine: str = ""
     build: Optional[BuildResult] = None

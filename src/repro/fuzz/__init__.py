@@ -11,7 +11,7 @@ oracle and the PVSan/PVPerf static provers) into a bug-finding loop:
   loop depth/bounds, affine and indirect subscripts, loop-carried
   recurrences, conditional stores and reductions;
 * :mod:`repro.fuzz.harness` — the differential check: every engine and
-  config against the :class:`~repro.dataflow.ReferenceSimulator`, the
+  config against the seed :class:`~repro.dataflow.Simulator`, the
   interpreter golden memory, the SC oracle, and the static depth/II
   bounds;
 * :mod:`repro.fuzz.shrink` — delta debugging of a failing spec down to a

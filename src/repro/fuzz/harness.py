@@ -2,11 +2,11 @@
 
 :func:`check_kernel` is the fuzzer's judgment seat.  For each hardware
 config it establishes a baseline with the seed worklist oracle
-(:class:`~repro.dataflow.ReferenceSimulator`), then demands:
+(:class:`~repro.dataflow.Simulator`, engine ``reference``), then demands:
 
 * **golden-memory** — the baseline's final memory equals the
   interpreter's (the architectural contract every config must meet);
-* **engine-identity** — every other engine (levelized, compiled; all
+* **engine-identity** — every other engine (by default compiled; all
   via :func:`~repro.dataflow.make_simulator`)
   reproduces the baseline bit-identically: cycles, transfers, squashes,
   squashed iterations and final memory;
@@ -49,7 +49,7 @@ from ..ir import run_golden
 from .spec import KernelSpec, spec_to_kernel
 
 #: engines checked against the reference baseline
-DEFAULT_ENGINES = ("levelized", "compiled")
+DEFAULT_ENGINES = ("compiled",)
 
 #: default config sweep: both baselines + PreVV at two depths
 DEFAULT_CONFIG_NAMES = ("dynamatic", "fast_lsq", "prevv4", "prevv16")
@@ -195,7 +195,7 @@ def _check_occupancy_bounds(report, kernel, config, max_cycles):
         report.checks += 1
         if not record.ok:
             report.add(
-                config.name, "levelized", "occupancy-bound",
+                config.name, measurement.engine, "occupancy-bound",
                 f"{record.kind}[{record.subject}]: static {record.static}"
                 f" < measured {record.measured}",
             )
@@ -277,7 +277,7 @@ def check_kernel(
                 report.add(config.name, "perf", "crash",
                            f"{type(exc).__name__}: {exc}")
 
-        # PVBound static occupancy bounds (peak-sampled levelized run).
+        # PVBound static occupancy bounds (peak-sampled auto-engine run).
         if perf and mutate is None:
             try:
                 _check_occupancy_bounds(report, kernel, config, max_cycles)

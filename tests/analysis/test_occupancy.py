@@ -8,6 +8,7 @@ proves PV502/PV503 flag the *pre-fix* acceptance policy on that
 circuit, and stay silent on the implemented one.
 """
 
+import functools
 import json
 import os
 
@@ -29,7 +30,9 @@ from repro.analysis.occupancy import (
     min_bound,
 )
 from repro.analysis.lint.cli import main as lint_main
+from repro.analysis.occupancy import measure as measure_mod
 from repro.compile import compile_function
+from repro.dataflow import make_simulator
 from repro.eval.configs import BY_NAME, prevv_with_depth
 from repro.fuzz.corpus import default_corpus_dir, load_spec
 from repro.fuzz.spec import spec_to_kernel
@@ -349,3 +352,54 @@ class TestFuzzOracle:
             subject="x", cycles=1, peaks={}, overflowed_units=["u"]
         )
         assert measurement.overflowed
+
+
+# ----------------------------------------------------------------------
+# Engine independence: the peak sampler reads live component state
+# ----------------------------------------------------------------------
+def _measure_on(engine, monkeypatch, kernel, config):
+    """``measure_build`` with its simulator pinned to ``engine``."""
+    monkeypatch.setattr(measure_mod, "make_simulator",
+                        functools.partial(make_simulator, engine=engine))
+    build = compile_function(kernel.build_ir(), config, args=kernel.args)
+    build.memory.initialize(kernel.memory_init)
+    measurement = measure_build(build, max_cycles=200_000)
+    assert measurement.engine == engine
+    return measurement, build.memory.snapshot()
+
+
+class TestEngineIndependence:
+    """The compiled engine commits buffer, controller and queue state onto
+    the component objects before the end-of-cycle hooks run, so the
+    sampled peaks equal the interpreted reference engine's."""
+
+    @pytest.mark.parametrize("config_name", ["dynamatic", "prevv16", "prevv4"])
+    @pytest.mark.parametrize("kernel_name", ["fig2b", "gaussian"])
+    def test_peaks_match_reference(self, kernel_name, config_name,
+                                   monkeypatch):
+        from repro.bench import QUICK_SIZES
+        from repro.fuzz.harness import configs_from_names
+        from repro.kernels import get_kernel
+
+        kernel = get_kernel(kernel_name, **QUICK_SIZES.get(kernel_name, {}))
+        [config] = configs_from_names([config_name])
+        ref, ref_mem = _measure_on("reference", monkeypatch, kernel, config)
+        com, com_mem = _measure_on("compiled", monkeypatch, kernel, config)
+        assert com.peaks == ref.peaks
+        assert com.cycles == ref.cycles
+        assert com.overflowed_units == ref.overflowed_units
+        assert com_mem == ref_mem
+        assert any(ref.peaks.values())  # the sampler saw real traffic
+
+    def test_overflow_matches_reference(self, monkeypatch):
+        """The pre-fix policy overflows the corpus circuit on both."""
+        monkeypatch.setattr(PreVVUnit, "FULL_QUEUE_VERSION_RELEASE", False)
+        monkeypatch.setattr(PreVVUnit, "FULL_QUEUE_PHYSICAL_GUARD", False)
+        kernel = spec_to_kernel(load_spec(CORPUS_KERNEL))
+        config = prevv_with_depth(4)
+        ref, _ = _measure_on("reference", monkeypatch, kernel, config)
+        com, _ = _measure_on("compiled", monkeypatch, kernel, config)
+        assert ref.overflowed
+        assert com.overflowed_units == ref.overflowed_units
+        assert com.peaks == ref.peaks
+        assert com.cycles == ref.cycles

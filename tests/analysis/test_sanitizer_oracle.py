@@ -60,11 +60,11 @@ class TestRunnerShape:
             comp.propagate = type(comp).propagate.__get__(comp)
 
         # An instance-level patch makes the compiler decline: the run
-        # falls back to the levelized engine, and the result says so.
+        # falls back to the reference engine, and the result says so.
         patched = sanitize_run(
             get_kernel("fig2b"), PREVV16, mutate=patch_propagate
         )
-        assert patched.engine == "levelized"
+        assert patched.engine == "reference"
         assert patched.ok and patched.verified
         assert patched.cycles == result.cycles
         assert patched.checks == result.checks

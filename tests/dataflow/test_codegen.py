@@ -12,6 +12,7 @@ import pytest
 
 from repro.compile import compile_function
 from repro.dataflow import (
+    ChannelTrace,
     Circuit,
     CompiledSimulator,
     OpaqueBuffer,
@@ -160,18 +161,37 @@ class TestEngineSelection:
         buf = _comp(circuit, "buf")
         buf.propagate = type(buf).propagate.__get__(buf)  # decline trigger
         sim = make_simulator(circuit, engine="compiled")
-        assert sim.engine_name == "levelized"
+        assert sim.engine_name == "reference"
         sim.run_cycles(20)
         assert sink.values == [3, 3, 3, 3, 3]
 
+    def test_decline_is_logged(self, caplog):
+        """Every decline warns once, naming the circuit and the reason."""
+        circuit, _ = _pipeline()
+        buf = _comp(circuit, "buf")
+        buf.propagate = type(buf).propagate.__get__(buf)  # decline trigger
+        with caplog.at_level("WARNING", logger="repro.dataflow.simulator"):
+            make_simulator(circuit, engine="auto")
+        [record] = caplog.records
+        assert record.levelname == "WARNING"
+        assert "pipe" in record.getMessage()
+        assert "instance-level propagate" in record.getMessage()
+
+    def test_interpreted_requests_are_not_logged(self, caplog):
+        """An explicit trace, stats or reference request is no decline."""
+        circuit, _ = _pipeline()
+        with caplog.at_level("DEBUG", logger="repro.dataflow.simulator"):
+            make_simulator(circuit, engine="reference")
+            make_simulator(circuit, collect_stats=True)
+            make_simulator(circuit, trace=ChannelTrace())
+            make_simulator(circuit, engine="compiled")
+        assert caplog.records == []
+
     def test_explicit_interpreted_engines(self):
         circuit, _ = _pipeline()
-        assert make_simulator(circuit, engine="levelized").engine_name == (
-            "levelized"
-        )
-        assert make_simulator(circuit, engine="reference").engine_name == (
-            "reference"
-        )
+        sim = make_simulator(circuit, engine="reference")
+        assert sim.engine_name == "reference"
+        assert type(sim) is Simulator
 
     def test_unknown_engine_rejected(self):
         circuit, _ = _pipeline()
@@ -181,13 +201,15 @@ class TestEngineSelection:
             make_simulator(circuit, engine="vector")
         with pytest.raises(ValueError, match="unknown engine"):
             make_simulator(circuit, engine="incremental")
+        with pytest.raises(ValueError, match="unknown engine"):
+            make_simulator(circuit, engine="levelized")
 
     def test_stats_request_uses_interpreted_engine(self):
         """Per-channel stall stats force the interpreted engine even
         under auto — the compiled engine cannot supply them."""
         circuit, _ = _pipeline()
         sim = make_simulator(circuit, engine="auto", collect_stats=True)
-        assert sim.engine_name == "levelized"
+        assert sim.engine_name == "reference"
 
 
 # ----------------------------------------------------------------------

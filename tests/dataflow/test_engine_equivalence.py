@@ -1,9 +1,7 @@
-"""The levelized and compiled engines are bit-identical to the seed engine.
+"""The compiled engine is bit-identical to the seed engine.
 
-:class:`repro.dataflow.reference.ReferenceSimulator` preserves the seed
-worklist algorithm verbatim; these tests pin the levelized
-:class:`~repro.dataflow.Simulator` (both its instrumented and its
-stat-free ``step()`` counting paths) and the code-generating
+:class:`repro.dataflow.Simulator` preserves the seed worklist algorithm
+verbatim; these tests pin the code-generating
 :class:`~repro.dataflow.CompiledSimulator` to it: same cycle counts,
 same transfer counts, same squash behaviour, same final memory — on
 every paper kernel under every hardware configuration, and on randomly
@@ -23,7 +21,6 @@ from repro.dataflow import (
     Join,
     OpaqueBuffer,
     Operator,
-    ReferenceSimulator,
     Simulator,
     Sink,
     Source,
@@ -67,12 +64,8 @@ def _run(sim_cls, kernel_name, config, **sim_kwargs):
 @pytest.mark.parametrize("kernel_name", sorted(SIZES))
 @pytest.mark.parametrize("config", ALL_CONFIGS, ids=lambda c: c.name)
 def test_kernel_grid_bit_identical(kernel_name, config):
-    reference = _run(ReferenceSimulator, kernel_name, config)
-    classic = _run(Simulator, kernel_name, config, collect_stats=True)
-    fast = _run(Simulator, kernel_name, config, collect_stats=False)
+    reference = _run(Simulator, kernel_name, config)
     compiled = _run(CompiledSimulator, kernel_name, config)
-    assert classic == reference
-    assert fast == reference
     assert compiled == reference
 
 
@@ -135,12 +128,8 @@ def _run_prevv(sim_cls, kernel_name, config, **sim_kwargs):
     "config", PREVV_STRESS_CONFIGS, ids=lambda c: c.name
 )
 def test_prevv_stress_grid_bit_identical(kernel_name, config):
-    reference = _run_prevv(ReferenceSimulator, kernel_name, config)
-    classic = _run_prevv(Simulator, kernel_name, config, collect_stats=True)
-    fast = _run_prevv(Simulator, kernel_name, config, collect_stats=False)
+    reference = _run_prevv(Simulator, kernel_name, config)
     compiled = _run_prevv(CompiledSimulator, kernel_name, config)
-    assert classic == reference
-    assert fast == reference
     assert compiled == reference
     # The stress points must actually exercise the squash/replay path;
     # otherwise this grid silently tests nothing.
@@ -197,12 +186,7 @@ def _random_circuit(stages, fork_at, limit):
 )
 def test_random_circuits_bit_identical(stages, limit, cycles):
     results = []
-    for build_sim in (
-        lambda c: ReferenceSimulator(c),
-        lambda c: Simulator(c, collect_stats=True),
-        lambda c: Simulator(c, collect_stats=False),
-        lambda c: CompiledSimulator(c),
-    ):
+    for build_sim in (Simulator, CompiledSimulator):
         circuit, sink = _random_circuit(stages, 0, limit)
         sim = build_sim(circuit)
         sim.run_cycles(cycles)
@@ -210,5 +194,3 @@ def test_random_circuits_bit_identical(stages, limit, cycles):
             (sim.stats.cycles, sim.stats.transfers, sink.values)
         )
     assert results[1] == results[0]
-    assert results[2] == results[0]
-    assert results[3] == results[0]

@@ -6,12 +6,13 @@ drawn at random, so the critical cycle's latency and capacity change
 shape on every example.  The property is the same one ``compare()``
 checks on kernels — in a window of ``W`` clocks, a cycle of latency
 ``L`` and capacity ``C`` completes at most ``(W + L + C) * C / L``
-traversals — and it must hold on the reference and levelized engines.
+traversals — and it must hold on the reference engine and on the
+compiled engine, which is the one ``perf.measure_kernel`` measures with.
 """
 
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.perf import perf_graph
@@ -22,12 +23,12 @@ from repro.dataflow import (
     Merge,
     OpaqueBuffer,
     Operator,
-    ReferenceSimulator,
-    Simulator,
     Sink,
     Source,
     TransparentBuffer,
     TransparentFifo,
+    make_simulator,
+    why_not_compilable,
 )
 
 
@@ -73,21 +74,18 @@ def _ring_circuit(stages, limit):
     return circuit, sink, source
 
 
-ENGINES = (
-    ("reference", lambda c: ReferenceSimulator(c)),
-    ("levelized", lambda c: Simulator(c, collect_stats=True)),
-)
-
-
 @settings(max_examples=30, deadline=None)
 @given(
     stages=st.lists(st.integers(0, 5), min_size=0, max_size=6),
     limit=st.integers(1, 8),
     cycles=st.integers(1, 60),
 )
+# A transparent stage cuts the ring's ready cycle, so the compiled leg
+# runs on at least this draw.
+@example(stages=[1, 5], limit=4, cycles=40)
 def test_mcr_bound_holds_on_random_rings(stages, limit, cycles):
     counts = []
-    for engine_name, build_sim in ENGINES:
+    for engine_name in ("reference", "compiled"):
         circuit, sink, source = _ring_circuit(stages, limit)
         graph = perf_graph(circuit)
         cycle = graph.critical_cycle()
@@ -95,7 +93,15 @@ def test_mcr_bound_holds_on_random_rings(stages, limit, cycles):
         assert cycle is not None and not cycle.is_combinational
         assert cycle.latency >= 1 and cycle.capacity >= 1
 
-        sim = build_sim(circuit)
+        sim = make_simulator(circuit, engine=engine_name)
+        if sim.engine_name != engine_name:
+            # A ring with no transparent stage has a cyclic ready
+            # network, which the compiler declines: the compiled request
+            # falls back to the reference engine already checked above.
+            assert engine_name == "compiled"
+            assert sim.engine_name == "reference"
+            assert "ready" in why_not_compilable(circuit)
+            break
         sim.run_cycles(cycles)
 
         # Ring storage is finite: the source can never inject more
@@ -110,8 +116,8 @@ def test_mcr_bound_holds_on_random_rings(stages, limit, cycles):
         assert cycle.ratio * firings <= Fraction(cycles + slack), engine_name
         counts.append((sink.count, source.emitted, sim.stats.cycles))
 
-    # Both engines agree on the observable outcome.
-    assert counts[1] == counts[0]
+    # The engines agree on the observable outcome.
+    assert counts[-1] == counts[0]
 
 
 @settings(max_examples=20, deadline=None)

@@ -1,10 +1,11 @@
-"""Simulator failure modes: deadlock detection, budgets, tracing."""
+"""Simulator failure modes: deadlock detection, budgets, fail-fast, tracing."""
 
 import pytest
 
 from repro.dataflow import (
     ChannelTrace,
     Circuit,
+    CompiledSimulator,
     OpaqueBuffer,
     Simulator,
     Sink,
@@ -51,6 +52,21 @@ class TestDeadlockDetection:
         sim = Simulator(circuit, max_cycles=5, deadlock_window=1000)
         with pytest.raises(SimulationError, match="exceeded 5 cycles"):
             sim.run(lambda: False)
+
+
+@pytest.mark.parametrize("engine", [Simulator, CompiledSimulator],
+                         ids=lambda cls: cls.engine_name)
+def test_abort_condition_stops_the_run(engine):
+    """Both engines honour the fail-fast predicate PVSan installs."""
+    circuit = Circuit("abort")
+    source = circuit.add(Source("s", value=1))
+    sink = circuit.add(Sink("k"))
+    circuit.connect(source, "out", sink, "in")
+    sim = engine(circuit, max_cycles=100)
+    sim.abort_condition = lambda: sim.stats.cycles >= 3
+    stats = sim.run(lambda: False)
+    assert stats.cycles == 3
+    assert sink.count == 3
 
 
 class TestValidation:

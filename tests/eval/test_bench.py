@@ -1,4 +1,4 @@
-"""The simulator bench CLI: points, profiling, config gating, checking."""
+"""The simulator bench CLI: points, config gating, checking."""
 
 import pytest
 
@@ -20,7 +20,6 @@ class TestBenchPoint:
         assert point["config"] == "dynamatic"
         assert point["cycles"] > 0
         assert point["propagate_calls"] > 0
-        assert "profile" not in point
         # The report must record the engine actually used, not just the
         # one requested — fallbacks have to be visible in the JSON.
         assert point["engine_requested"] == "auto"
@@ -34,34 +33,10 @@ class TestBenchPoint:
         assert point["engine_requested"] == "compiled"
         assert point["engine"] == "compiled"
         ref = bench_point(
-            "polyn_mult", BY_NAME["dynamatic"], SMALL, engine="levelized"
+            "polyn_mult", BY_NAME["dynamatic"], SMALL, engine="reference"
         )
-        assert ref["engine"] == "levelized"
+        assert ref["engine"] == "reference"
         assert point["cycles"] == ref["cycles"]
-
-    def test_profile_attribution(self):
-        # Profile runs pin the levelized engine (the wrappers defeat the
-        # compiled engine), so compare against a levelized plain point.
-        plain = bench_point(
-            "polyn_mult", BY_NAME["prevv16"], SMALL, engine="levelized"
-        )
-        point = bench_point(
-            "polyn_mult", BY_NAME["prevv16"], SMALL, profile=True
-        )
-        assert point["engine"] == "levelized"
-        profile = point["profile"]
-        assert "PreVVUnit" in profile
-        # The meters must not perturb the simulation: same cycles, and
-        # the per-class eval counts must add up to the engine's total.
-        assert point["cycles"] == plain["cycles"]
-        assert point["propagate_calls"] == plain["propagate_calls"]
-        assert (
-            sum(s["propagate_calls"] for s in profile.values())
-            == point["propagate_calls"]
-        )
-        # Sorted by attributed wall time, descending.
-        walls = [s["wall_s"] for s in profile.values()]
-        assert walls == sorted(walls, reverse=True)
 
 
 class TestRunBench:
@@ -83,24 +58,20 @@ class TestRunBench:
     def test_engine_axis(self):
         result = run_bench(
             quick=True, kernels=["polyn_mult"], configs=["dynamatic"],
-            engines=["levelized", "compiled"],
+            engines=["reference", "compiled"],
         )
-        assert result["engines"] == ["levelized", "compiled"]
+        assert result["engines"] == ["reference", "compiled"]
         assert [p["engine"] for p in result["points"]] == [
-            "levelized", "compiled"
+            "reference", "compiled"
         ]
         cycles = {p["cycles"] for p in result["points"]}
         assert len(cycles) == 1  # engines agree on architectural time
 
     def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError, match="unknown engine"):
-            run_bench(quick=True, kernels=["polyn_mult"],
-                      engines=["turbo"])
-
-    def test_profile_plus_compiled_rejected(self):
-        with pytest.raises(ValueError, match="profile"):
-            run_bench(quick=True, kernels=["polyn_mult"],
-                      profile=True, engines=["compiled"])
+        for engine in ("turbo", "levelized"):
+            with pytest.raises(ValueError, match="unknown engine"):
+                run_bench(quick=True, kernels=["polyn_mult"],
+                          engines=[engine])
 
 
 class TestCheck:
@@ -110,7 +81,7 @@ class TestCheck:
                 {
                     "kernel": "k",
                     "config": "c",
-                    "engine": "levelized",
+                    "engine": "reference",
                     "cycles": cycles,
                     "propagate_calls_per_cycle": epc,
                 }
@@ -139,7 +110,7 @@ class TestCheck:
             {
                 "kernel": "k",
                 "config": "other",
-                "engine": "levelized",
+                "engine": "reference",
                 "cycles": 1,
                 "propagate_calls_per_cycle": 1.0,
             }
@@ -148,7 +119,7 @@ class TestCheck:
         assert errors == []
 
     def test_points_are_keyed_per_engine(self):
-        """A compiled point never checks against a levelized baseline
+        """A compiled point never checks against a reference baseline
         point — their evals/cycle differ by design, not by regression."""
         result = self._payload(epc=400.0)
         result["points"][0]["engine"] = "compiled"

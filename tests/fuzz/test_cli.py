@@ -8,7 +8,9 @@ from repro.fuzz.__main__ import main
 from repro.fuzz.harness import DEFAULT_ENGINES
 
 
-@pytest.mark.parametrize("name", ["vector", "incremental", "compield"])
+@pytest.mark.parametrize(
+    "name", ["vector", "incremental", "levelized", "compield"]
+)
 def test_unknown_engine_exits_2(name, tmp_path, capsys):
     out = tmp_path / "report.jsonl"
     status = main(["--engines", f"compiled,{name}", "--count", "1",
@@ -23,4 +25,4 @@ def test_unknown_engine_exits_2(name, tmp_path, capsys):
 
 def test_default_engines_are_valid():
     assert set(DEFAULT_ENGINES) <= set(ENGINES)
-    assert DEFAULT_ENGINES == ("levelized", "compiled")
+    assert DEFAULT_ENGINES == ("compiled",)
