@@ -14,9 +14,9 @@ code:
   are *inlined* (their ``propagate`` bodies are re-expressed as templates
   over flat local variables, reusing each instance's token caches so
   token identity matches the interpreted engine); complex stateful
-  components (control merges, domain gates, PreVV units, memory
-  controllers, LSQs) are *called* through pre-bound method references
-  after their driven signals are cleared.
+  components (domain gates, PreVV units, memory controllers, LSQs) are
+  *called* through pre-bound method references after their driven
+  signals are cleared.
 * **Phase 2 (ready)** — input readies are computed in reverse
   ready-topological order (consumers before observing producers), so the
   backward wave also settles in one pass.  Channel transfers are counted
@@ -25,6 +25,14 @@ code:
   valid/data reads its own output ready within a cycle.
 * **Clock edge** — ``tick`` bodies are inlined (or called) with the
   settled signals still in registers.
+
+Derived tokens are built tag-free on circuits without a
+:class:`~repro.prevv.replay.DomainGate`: the gate is the only component
+that ever attaches a speculation tag (``Token.with_tag``), so on such a
+circuit every tag merge would yield ``{}`` and the templates emit
+``Token(value)`` instead of ``combine(value, *sources)``.  Whether a
+circuit has a gate is part of its :func:`structural_key`, so the two
+emission modes never share a plan.
 
 Channel signals live in Python locals wherever both endpoints are
 inlined, and on the real :class:`~repro.dataflow.channel.Channel`
@@ -46,6 +54,9 @@ the same decline statically.
 
 from __future__ import annotations
 
+import time
+from functools import lru_cache
+from types import CodeType
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..errors import (
@@ -56,12 +67,12 @@ from ..errors import (
 from .circuit import Circuit
 from .component import Component
 from .schedule import levelize, ready_network_acyclic
-from .simulator import SimulationStats, _overrides
+from .simulator import SimulationStats, _overrides, logger
 from .token import Token, combine
 
 #: Bump when the emitted code's semantics change: it keys the plan cache,
 #: so stale plans can never serve a newer engine.
-CODEGEN_VERSION = 1
+CODEGEN_VERSION = 2
 
 #: Component classes whose propagate/tick bodies are re-expressed as
 #: inline templates, keyed by dotted class name (string keys keep this
@@ -77,6 +88,7 @@ _INLINE: Dict[str, str] = {
     "repro.dataflow.primitives.Fork": "fork",
     "repro.dataflow.primitives.Join": "join",
     "repro.dataflow.routing.Merge": "merge",
+    "repro.dataflow.routing.ControlMerge": "cmerge",
     "repro.dataflow.routing.Mux": "mux",
     "repro.dataflow.routing.Branch": "branch",
     "repro.dataflow.routing.Select": "select",
@@ -94,9 +106,10 @@ _INLINE: Dict[str, str] = {
 #: ``tick`` references (cleared-then-called, once per phase).  Audit
 #: requirement for membership: ``propagate`` must be a pure function of
 #: (input signals, internal state) — it is called twice per cycle.
+#: ``DomainGate`` stays called on purpose: an inline template of its
+#: per-lane replay logic measured slower than the bound-method call.
 _CALLED = frozenset(
     {
-        "repro.dataflow.routing.ControlMerge",
         "repro.prevv.replay.DomainGate",
         "repro.prevv.unit.PreVVUnit",
         "repro.memory.controller.MemoryController",
@@ -158,7 +171,7 @@ def _params_of(comp: Component) -> Tuple:
     tag = _INLINE.get(_class_key(type(comp)))
     if tag == "fork":
         return (comp.n_outputs,)
-    if tag in ("join", "merge", "mux"):
+    if tag in ("join", "merge", "mux", "cmerge"):
         return (comp.n_inputs,)
     if tag == "operator":
         return (comp.n_inputs, comp.latency)
@@ -208,6 +221,11 @@ class _StepEmitter:
         self.tag = {
             id(c): _INLINE.get(_class_key(type(c))) for c in self.comps
         }
+        # Only a DomainGate ever tags a token, so without one every tag
+        # merge is empty and derived tokens are built plain.
+        self.gated = any(
+            _class_key(type(c)) == _GATE_KEY for c in self.comps
+        )
         # Hybrid storage: locals between inlined endpoints, live Channel
         # attributes next to called components.
         self.is_local = {
@@ -249,6 +267,13 @@ class _StepEmitter:
         i = self.xidx[id(comp)]
         self.need_comp.add(i)
         return f"x{i}"
+
+    def _token(self, value: str, *sources: str) -> str:
+        """Expression building a derived token: tag-merging ``combine``
+        on gated circuits, a plain ``Token`` where no tag can exist."""
+        if self.gated:
+            return f"combine({', '.join((value,) + sources)})"
+        return f"Token({value})"
 
     def _fire(self, ch) -> List[str]:
         """Count this channel's transfer (each channel exactly once, in
@@ -320,7 +345,7 @@ class _StepEmitter:
             "    if _a[0] is _t:",
             "        _o = _a[1]",
             "    else:",
-            f"        _o = combine({x}.value, _t)",
+            "        _o = " + self._token(f"{x}.value", "_t"),
             "        _a[0] = _t; _a[1] = _o",
             f"    {self.V(o)} = True; {self.D(o)} = _o",
             "else:",
@@ -362,7 +387,7 @@ class _StepEmitter:
             "        _o = _a[1]",
             "    else:",
             f"        _l = [{toks}]",
-            "        _o = combine(_l[0].value, *_l)",
+            "        _o = " + self._token("_l[0].value", "*_l"),
             "        _a[0] = _l; _a[1] = _o",
             f"    {self.V(o)} = True; {self.D(o)} = _o",
             "else:",
@@ -381,6 +406,48 @@ class _StepEmitter:
             ]
         lines += ["else:", f"    {self.V(o)} = False; {self.D(o)} = None"]
         return lines
+
+    def _ph1_cmerge(self, c) -> List[str]:
+        # The step local m<i> holds the winner whose token is offered this
+        # cycle (locked winner first, else the first valid input), or None;
+        # phase 2 and the tick read it instead of re-deriving the winner.
+        x = self.X(c)
+        m = f"m{self.xidx[id(c)]}"
+        ins = [c.inputs[f"in{k}"] for k in range(c.n_inputs)]
+        o, ix = c.outputs["out"], c.outputs["index"]
+        lines = ["_t = None", f"{m} = {x}._locked", f"if {m} is None:"]
+        for k, ch in enumerate(ins):
+            kw = "if" if k == 0 else "elif"
+            lines += [
+                f"    {kw} {self.V(ch)}:",
+                f"        {m} = {k}; _t = {self.D(ch)}",
+            ]
+        for k, ch in enumerate(ins):
+            lines += [
+                f"elif {m} == {k}:",
+                f"    if {self.V(ch)}: _t = {self.D(ch)}",
+            ]
+        return lines + [
+            "if _t is None:",
+            f"    {m} = None",
+            f"    {self.V(o)} = False; {self.D(o)} = None",
+            f"    {self.V(ix)} = False; {self.D(ix)} = None",
+            "else:",
+            f"    if {x}._done_out:",
+            f"        {self.V(o)} = False; {self.D(o)} = None",
+            "    else:",
+            f"        {self.V(o)} = True; {self.D(o)} = _t",
+            f"    if {x}._done_index:",
+            f"        {self.V(ix)} = False; {self.D(ix)} = None",
+            "    else:",
+            f"        _a = {x}._cache",
+            f"        if _a[0] is _t and _a[1] == {m}:",
+            "            _o = _a[2]",
+            "        else:",
+            f"            _o = _t.with_value({m})",
+            f"            _a[0] = _t; _a[1] = {m}; _a[2] = _o",
+            f"        {self.V(ix)} = True; {self.D(ix)} = _o",
+        ]
 
     def _ph1_mux(self, c) -> List[str]:
         x = self.X(c)
@@ -409,7 +476,7 @@ class _StepEmitter:
             "        if _a[0] is _st and _a[1] is _dt:",
             "            _o = _a[2]",
             "        else:",
-            "            _o = combine(_dt.value, _dt, _st)",
+            "            _o = " + self._token("_dt.value", "_dt", "_st"),
             "            _a[0] = _st; _a[1] = _dt; _a[2] = _o",
             f"        {self.V(o)} = True; {self.D(o)} = _o",
             "    else:",
@@ -430,7 +497,7 @@ class _StepEmitter:
             "    if _a[0] is _ct and _a[1] is _dt:",
             "        _o = _a[2]",
             "    else:",
-            "        _o = combine(_dt.value, _dt, _ct)",
+            "        _o = " + self._token("_dt.value", "_dt", "_ct"),
             "        _a[0] = _ct; _a[1] = _dt; _a[2] = _o",
             "    if _ct.value:",
             f"        {self.V(t)} = True; {self.D(t)} = _o",
@@ -456,8 +523,8 @@ class _StepEmitter:
             "    else:",
             f"        _ch = {self.D(a)} if {self.D(cond)}.value "
             f"else {self.D(b)}",
-            f"        _o = combine(_ch.value, {self.D(cond)}, {self.D(a)}, "
-            f"{self.D(b)})",
+            "        _o = "
+            + self._token("_ch.value", self.D(cond), self.D(a), self.D(b)),
             f"        _a[0] = {self.D(cond)}; _a[1] = {self.D(a)}; "
             f"_a[2] = {self.D(b)}; _a[3] = _o",
             f"    {self.V(o)} = True; {self.D(o)} = _o",
@@ -493,7 +560,7 @@ class _StepEmitter:
             "        _o = _a[1]",
             "    else:",
             f"        _l = [{toks}]",
-            f"        _o = combine(x{i}_fn({vals}), *_l)",
+            "        _o = " + self._token(f"x{i}_fn({vals})", "*_l"),
             "        _a[0] = _l; _a[1] = _o",
             f"    {self.V(o)} = True; {self.D(o)} = _o",
             "else:",
@@ -559,7 +626,8 @@ class _StepEmitter:
             "    if _a[0] is _it and _a[1] is _vt:",
             "        _o = _a[2]",
             "    else:",
-            "        _o = combine((_it.value, _vt.value), _it, _vt)",
+            "        _o = "
+            + self._token("(_it.value, _vt.value)", "_it", "_vt"),
             "        _o.version = _vt.version",
             "        _a[0] = _it; _a[1] = _vt; _a[2] = _o",
             f"    {self.V(o)} = True; {self.D(o)} = _o",
@@ -655,6 +723,24 @@ class _StepEmitter:
         lines.append("else:")
         for ch in ins:
             lines.append(f"    {self.R(ch)} = False")
+        return lines
+
+    def _ph2_cmerge(self, c) -> List[str]:
+        x = self.X(c)
+        m = f"m{self.xidx[id(c)]}"
+        ins = [c.inputs[f"in{k}"] for k in range(c.n_inputs)]
+        o, ix = c.outputs["out"], c.outputs["index"]
+        lines = [f"if {m} is None:"]
+        lines += [f"    {self.R(ch)} = False" for ch in ins]
+        lines += [
+            "else:",
+            f"    _r = ({x}._done_out or {self.R(o)}) "
+            f"and ({x}._done_index or {self.R(ix)})",
+        ]
+        lines += [
+            f"    {self.R(ch)} = {m} == {k} and _r"
+            for k, ch in enumerate(ins)
+        ]
         return lines
 
     def _ph2_mux(self, c) -> List[str]:
@@ -802,6 +888,30 @@ class _StepEmitter:
             )
         return lines
 
+    def _tick_cmerge(self, c) -> List[str]:
+        x = self.X(c)
+        m = f"m{self.xidx[id(c)]}"
+        ins = [c.inputs[f"in{k}"] for k in range(c.n_inputs)]
+        o, ix = c.outputs["out"], c.outputs["index"]
+        # Only the offered winner's input can be ready, so any input
+        # ready means the winner's input fires; an output is only valid
+        # while its done bit is clear.
+        fires = " or ".join(self.R(ch) for ch in ins)
+        return [
+            f"if {m} is not None:",
+            f"    if {fires}:",
+            f"        {x}._done_out = False; {x}._done_index = False",
+            f"        {x}._locked = None",
+            "    else:",
+            "        _fd = False",
+            f"        if {self.V(o)} and {self.R(o)}:",
+            f"            {x}._done_out = True; _fd = True",
+            f"        if {self.V(ix)} and {self.R(ix)}:",
+            f"            {x}._done_index = True; _fd = True",
+            "        if _fd:",
+            f"            {x}._locked = {m}",
+        ]
+
     def _tick_operator(self, c) -> List[str]:
         if c.latency == 0:
             return []
@@ -817,7 +927,7 @@ class _StepEmitter:
             f"_p = {x}._pipe",
             f"if _p[-1] is None or ({self.V(o)} and {self.R(o)}):",
             f"    if {allv} and {self.R(ins[0])}:",
-            f"        _o = combine(x{i}_fn({vals}), {toks})",
+            "        _o = " + self._token(f"x{i}_fn({vals})", toks),
             "    else:",
             "        _o = None",
             f"    {x}._pipe = [_o] + _p[:-1]",
@@ -995,19 +1105,18 @@ class _StepEmitter:
                 body.append(f"# tick {comp.name}")
                 body += block
 
-        # Fork.flush reads its input channel's data during a squash, so
-        # those signals must be live whenever squash hooks can run.
-        gated = any(
-            _class_key(type(c)) == _GATE_KEY for c in self.comps
-        )
+        # Fork.flush and ControlMerge.flush read their input channels
+        # during a squash, so those signals must be live whenever squash
+        # hooks can run.
         always_spill: set = set()
-        if gated:
-            body.append("# ---- fork inputs stay live for squash flush ----")
+        if self.gated:
+            body.append(
+                "# ---- fork/cmerge inputs stay live for squash flush ----"
+            )
             for ch in self.channels:
-                if (
-                    self.is_local[id(ch)]
-                    and self.tag.get(id(ch.consumer)) == "fork"
-                ):
+                if self.is_local[id(ch)] and self.tag.get(
+                    id(ch.consumer)
+                ) in ("fork", "cmerge"):
                     i = self.cidx[id(ch)]
                     always_spill.add(id(ch))
                     body.append(f"c{i}.valid = v{i}; c{i}.data = d{i}")
@@ -1037,8 +1146,9 @@ class _StepEmitter:
         binds += [f"x{i}=x{i}" for i in sorted(self.need_comp)]
         binds += [f"x{i}_fn=x{i}_fn" for i in sorted(self.need_fn)]
         binds += [f"x{i}_prop=x{i}_prop" for i in sorted(self.need_call)]
-        binds += ["T=T", "combine=combine", "Token=Token", "int=int",
-                  "len=len"]
+        binds += ["T=T", "Token=Token", "int=int", "len=len"]
+        if self.gated:
+            binds.append("combine=combine")
         tick_binds = [
             f"x{i}_tick=x{i}_tick" for i in sorted(self.need_call)
         ]
@@ -1085,17 +1195,67 @@ class CompiledPlan:
     batched runs reuse one compilation across many rebuilt circuits.
     """
 
-    __slots__ = ("key", "source", "make_step", "n_evals")
+    __slots__ = ("key", "source", "make_step", "n_evals", "hold")
 
     def __init__(self, key: Tuple, source: str, make_step, n_evals: int):
         self.key = key
         self.source = source
         self.make_step = make_step
         self.n_evals = n_evals
+        step_code = next(
+            c for c in make_step.__code__.co_consts if isinstance(c, CodeType)
+        )
+        #: runs a whole simulation loop on a data-stack chunk with room
+        #: for this plan's step frame (see :func:`_holder_for`)
+        self.hold = _holder_for(step_code.co_nlocals + step_code.co_stacksize)
 
     def bind(self, circuit: Circuit):
         """Return ``(step_fn, transfer_counts)`` bound to ``circuit``."""
         return self.make_step(list(circuit.channels), list(circuit.components))
+
+
+# CPython (3.11+) keeps frames on per-thread data-stack chunks of 16 KiB;
+# a frame that does not fit the current chunk opens a fresh chunk, which
+# is freed again when that frame returns.  A step frame is many KiB of
+# locals, so depending on the caller's stack depth every cycle could pay a
+# chunk mmap/munmap plus page faults (measured on gaussian/prevv16 at n=8
+# in a warm run_kernel loop: ~5 minor faults per cycle, ~45 % more wall
+# time).  The run loops therefore execute under a holder frame sized to
+# open one chunk that keeps room for the loop, the step frame and its
+# callees for the whole run.  Elsewhere the holder is just a large frame.
+_CHUNK_SLOTS = 2048  # default chunk: 16 KiB of 8-byte slots
+_CHUNK_OVERHEAD = 1000  # slots CPython adds to a frame when sizing a chunk
+_CALLEE_ROOM = 1000  # slots kept free for the run loop and step's callees
+
+
+@lru_cache(maxsize=None)
+def _holder(n_slots: int) -> Callable:
+    """``hold(fn, *args)`` calls ``fn(*args)`` from a frame reserving
+    ``n_slots`` local slots (names declared by a never-run ``del``)."""
+    names = ", ".join(f"_{i}" for i in range(n_slots))
+    namespace: Dict = {}
+    exec(  # noqa: S102 - generated above, not user input
+        f"def hold(fn, *args):\n    if 0:\n        del {names}\n"
+        "    return fn(*args)\n",
+        namespace,
+    )
+    return namespace["hold"]
+
+
+def _holder_for(step_slots: int) -> Callable:
+    """Holder for a step frame of ``step_slots`` slots.
+
+    A chunk opened for a frame of ``h`` slots has the smallest size
+    ``_CHUNK_SLOTS * 2**k`` that is at least ``h + _CHUNK_OVERHEAD``.  With
+    ``h = chunk // 2 - _CHUNK_OVERHEAD + 1`` that size is exactly
+    ``chunk`` and about ``chunk // 2 + _CHUNK_OVERHEAD`` slots stay free;
+    ``chunk >= 4 * _CHUNK_SLOTS`` makes ``h`` exceed a default chunk, so
+    the holder always opens its own.
+    """
+    chunk = 4 * _CHUNK_SLOTS
+    while chunk // 2 < step_slots + _CALLEE_ROOM:
+        chunk *= 2
+    return _holder(chunk // 2 - _CHUNK_OVERHEAD + 1)
 
 
 _PLAN_CACHE: Dict[Tuple, CompiledPlan] = {}
@@ -1128,10 +1288,16 @@ def plan_for(circuit: Circuit, count_transfers: bool = False) -> CompiledPlan:
         _CACHE_STATS["hits"] += 1
         return plan
     _CACHE_STATS["misses"] += 1
+    start = time.perf_counter()
     source, n_evals = _StepEmitter(circuit, count_transfers).emit()
     namespace = {"combine": combine, "Token": Token}
     exec(  # noqa: S102 - the source is generated above, not user input
         compile(source, f"<codegen:{circuit.name}>", "exec"), namespace
+    )
+    logger.debug(
+        "%s: plan-cache miss; compiled %d components in %.1f ms",
+        circuit.name, len(circuit.components),
+        (time.perf_counter() - start) * 1e3,
     )
     plan = CompiledPlan(key, source, namespace["make_step"], n_evals)
     _PLAN_CACHE[key] = plan
@@ -1219,6 +1385,9 @@ class CompiledSimulator:
 
     def run_cycles(self, n: int) -> SimulationStats:
         """Run exactly ``n`` cycles (no completion/deadlock checks)."""
+        return self.plan.hold(self._run_cycles, n)
+
+    def _run_cycles(self, n: int) -> SimulationStats:
         for _ in range(n):
             self._step(True)
         if self.count_transfers:
@@ -1237,6 +1406,9 @@ class CompiledSimulator:
         spilled as soon as a cycle makes no progress, so deadlock
         diagnostics see live values.
         """
+        return self.plan.hold(self._run, done)
+
+    def _run(self, done: Callable[[], bool]) -> SimulationStats:
         self._quiet_cycles = 0
         split = getattr(done, "split", None)
         fast = (

@@ -8,6 +8,8 @@ decline diagnostics, engine-selection fallback, the fused transfer
 counters, and the emitted-source debug artifact.
 """
 
+import sys
+
 import pytest
 
 from repro.compile import compile_function
@@ -15,6 +17,7 @@ from repro.dataflow import (
     ChannelTrace,
     Circuit,
     CompiledSimulator,
+    ControlMerge,
     OpaqueBuffer,
     Operator,
     Simulator,
@@ -34,6 +37,7 @@ from repro.errors import CodegenUnsupportedError
 from repro.eval.configs import DYNAMATIC, PREVV16
 from repro.eval.runner import make_done_condition, run_batch
 from repro.kernels import get_kernel
+from repro.prevv.replay import DomainGate
 
 
 def _build(kernel_name="polyn_mult", config=DYNAMATIC, **sizes):
@@ -108,6 +112,21 @@ class TestPlanCache:
         b.add(Sink("extra"))
         assert structural_key(a) != structural_key(b)
 
+    def test_miss_is_logged_at_debug(self, caplog):
+        """Each compilation logs one DEBUG record (circuit, component
+        count, emit+compile time); a cache hit logs nothing."""
+        clear_plan_cache()
+        circuit, _ = _pipeline()
+        with caplog.at_level("DEBUG", logger="repro.dataflow.simulator"):
+            plan_for(circuit)
+            plan_for(circuit)
+        [record] = caplog.records
+        assert record.levelname == "DEBUG"
+        message = record.getMessage()
+        assert message.startswith("pipe: plan-cache miss")
+        assert "4 components" in message
+        assert message.endswith(" ms")
+
 
 # ----------------------------------------------------------------------
 # Declines
@@ -131,6 +150,10 @@ class TestDeclines:
 
         assert class_support(OpaqueBuffer) == "inline"
         assert class_support(MyBuffer) is None
+
+    def test_control_merge_is_inline_domain_gate_is_called(self):
+        assert class_support(ControlMerge) == "inline"
+        assert class_support(DomainGate) == "call"
 
     def test_instance_override_declines(self):
         circuit, _ = _pipeline()
@@ -180,6 +203,10 @@ class TestEngineSelection:
     def test_interpreted_requests_are_not_logged(self, caplog):
         """An explicit trace, stats or reference request is no decline."""
         circuit, _ = _pipeline()
+        # Warm the plan cache: a compilation logs its own DEBUG record
+        # (TestPlanCache.test_miss_is_logged_at_debug); only declines
+        # are under test here.
+        plan_for(circuit)
         with caplog.at_level("DEBUG", logger="repro.dataflow.simulator"):
             make_simulator(circuit, engine="reference")
             make_simulator(circuit, collect_stats=True)
@@ -262,6 +289,15 @@ class TestEmittedSource:
         assert "def step(" in source
         compile(source, "<resynth>", "exec")  # stays valid Python
 
+    def test_tag_free_emission_without_domain_gates(self):
+        """Only a DomainGate tags tokens: circuits without one build
+        plain tokens, gated (PreVV) circuits keep merging tags."""
+        plain = emitted_source(_build("gaussian", DYNAMATIC, n=4).circuit)
+        gated = emitted_source(_build("gaussian", PREVV16, n=4).circuit)
+        assert "combine(" not in plain
+        assert "Token(" in plain
+        assert "combine(" in gated
+
     def test_step_surface_matches_interpreted(self):
         """step()/run_cycles() parity on the tiny pipeline."""
         a, sink_a = _pipeline()
@@ -274,3 +310,35 @@ class TestEmittedSource:
         assert com.stats.cycles == ref.stats.cycles
         assert com.stats.transfers == ref.stats.transfers
         assert sink_b.values == sink_a.values
+
+
+# ----------------------------------------------------------------------
+# Run-loop frame placement
+# ----------------------------------------------------------------------
+@pytest.mark.skipif(
+    sys.version_info < (3, 11) or sys.platform != "linux",
+    reason="frames live on data-stack chunks from CPython 3.11; the "
+    "fault counter is read through the Linux getrusage",
+)
+@pytest.mark.parametrize("depth", [0, 7, 23, 61])
+def test_run_loop_does_not_reallocate_frame_chunks(depth):
+    """Whatever the caller's stack depth, a warm compiled run must not
+    open and free a data-stack chunk per cycle: that shows up as page
+    faults on every cycle (4-5 per cycle on this circuit without the
+    run-loop holder frame)."""
+    import resource
+
+    build = _build("gaussian", PREVV16, n=4)
+    sim = CompiledSimulator(build.circuit, max_cycles=200_000)
+    sim.end_of_cycle_hooks.append(build.squash_controller.end_of_cycle)
+    done = make_done_condition(build)
+
+    def at_depth(n):
+        if n:
+            return at_depth(n - 1)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        stats = sim.run(done)
+        after = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        return (after - before) / stats.cycles
+
+    assert at_depth(depth) < 0.5

@@ -9,13 +9,14 @@ generated circuits.
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.compile import compile_function
 from repro.dataflow import (
     Circuit,
     CompiledSimulator,
+    ControlMerge,
     Fifo,
     Fork,
     Join,
@@ -137,6 +138,31 @@ def test_prevv_stress_grid_bit_identical(kernel_name, config):
         assert reference["squashes"] > 0
 
 
+def _chain(circuit, prefix, stages, prev, prev_port):
+    """Append one component per entry of ``stages`` (a small menu of
+    buffers and operators) after ``prev.prev_port``; return the end."""
+    for i, kind in enumerate(stages):
+        if kind == 0:
+            comp = circuit.add(OpaqueBuffer(f"{prefix}oehb{i}"))
+        elif kind == 1:
+            comp = circuit.add(TransparentBuffer(f"{prefix}tehb{i}"))
+        elif kind == 2:
+            comp = circuit.add(Fifo(f"{prefix}fifo{i}", depth=2))
+        elif kind == 3:
+            comp = circuit.add(TransparentFifo(f"{prefix}tfifo{i}", depth=2))
+        elif kind == 4:
+            comp = circuit.add(
+                Operator(f"{prefix}inc{i}", lambda a: a + 1, 1, latency=0)
+            )
+        else:
+            comp = circuit.add(
+                Operator(f"{prefix}mul{i}", lambda a: a * 2, 1, latency=2)
+            )
+        circuit.connect(prev, prev_port, comp, "in" if kind < 4 else "in0")
+        prev, prev_port = comp, "out"
+    return prev, prev_port
+
+
 def _random_circuit(stages, fork_at, limit):
     """A linear elastic pipeline with one fork/join diamond.
 
@@ -146,26 +172,7 @@ def _random_circuit(stages, fork_at, limit):
     """
     circuit = Circuit("rand")
     source = circuit.add(Source("src", value=3, limit=limit))
-    prev, prev_port = source, "out"
-    for i, kind in enumerate(stages):
-        if kind == 0:
-            comp = circuit.add(OpaqueBuffer(f"oehb{i}"))
-        elif kind == 1:
-            comp = circuit.add(TransparentBuffer(f"tehb{i}"))
-        elif kind == 2:
-            comp = circuit.add(Fifo(f"fifo{i}", depth=2))
-        elif kind == 3:
-            comp = circuit.add(TransparentFifo(f"tfifo{i}", depth=2))
-        elif kind == 4:
-            comp = circuit.add(
-                Operator(f"inc{i}", lambda a: a + 1, 1, latency=0)
-            )
-        else:
-            comp = circuit.add(
-                Operator(f"mul{i}", lambda a: a * 2, 1, latency=2)
-            )
-        circuit.connect(prev, prev_port, comp, "in" if kind < 4 else "in0")
-        prev, prev_port = comp, "out"
+    prev, prev_port = _chain(circuit, "", stages, source, "out")
     fork = circuit.add(Fork("fk", 2))
     circuit.connect(prev, prev_port, fork, "in")
     slow = circuit.add(OpaqueBuffer("slow"))
@@ -194,3 +201,83 @@ def test_random_circuits_bit_identical(stages, limit, cycles):
             (sim.stats.cycles, sim.stats.transfers, sink.values)
         )
     assert results[1] == results[0]
+
+
+def _cmerge_circuit(in0, in1, out, index, limits):
+    """Two sources race into a two-input ControlMerge.
+
+    ``out`` and ``index`` take different buffer/latency chains into one
+    pairing operator, so one side of the merge's implicit fork fires
+    cycles before the other: the done bits and the winner lock carry
+    the handshake across cycles.
+    """
+    circuit = Circuit("cmerge_rand")
+    merge = circuit.add(ControlMerge("cm", 2))
+    for k, (stages, limit) in enumerate(zip((in0, in1), limits)):
+        source = circuit.add(
+            Source(f"src{k}", value=100 * (k + 1), limit=limit)
+        )
+        end, port = _chain(circuit, f"in{k}_", stages, source, "out")
+        circuit.connect(end, port, merge, f"in{k}")
+    a, a_port = _chain(circuit, "out_", out, merge, "out")
+    b, b_port = _chain(circuit, "idx_", index, merge, "index")
+    pair = circuit.add(Operator("pair", lambda v, i: (v, i), 2, latency=0))
+    circuit.connect(a, a_port, pair, "in0")
+    circuit.connect(b, b_port, pair, "in1")
+    sink = circuit.add(Sink("snk"))
+    circuit.connect(pair, "out", sink, "in")
+    return circuit, merge, sink
+
+
+def _run_cmerge(sim_cls, cycles, **shape):
+    """Step ``cycles`` cycles; also report whether a token was offered on
+    the higher-priority input while the merge was locked to input 1."""
+    circuit, merge, sink = _cmerge_circuit(**shape)
+    sim = sim_cls(circuit)
+    contended = False
+    for _ in range(cycles):
+        locked = merge._locked
+        sim.step()
+        contended |= locked == 1 and merge.inputs["in0"].valid
+    state = (merge._locked, merge._done_out, merge._done_index)
+    result = (sim.stats.cycles, sim.stats.transfers, sink.values, state)
+    return result, contended
+
+
+# in1 wins at cycle 0 while in0's token is still three buffers away;
+# ``index`` fires into its slow chain at once but ``out`` waits at the
+# pairing operator, so the merge locks to in1 exactly when in0 arrives.
+CMERGE_LOCK_EXAMPLE = dict(
+    in0=[0, 0, 0], in1=[], out=[], index=[0, 5], limits=(3, 3), cycles=40
+)
+
+_STAGES = st.lists(st.integers(0, 5), max_size=3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    in0=_STAGES,
+    in1=_STAGES,
+    out=_STAGES,
+    index=_STAGES,
+    limits=st.tuples(st.integers(1, 6), st.integers(1, 6)),
+    cycles=st.integers(1, 60),
+)
+@example(**CMERGE_LOCK_EXAMPLE)
+def test_random_cmerge_circuits_bit_identical(
+    in0, in1, out, index, limits, cycles
+):
+    shape = dict(in0=in0, in1=in1, out=out, index=index, limits=limits)
+    reference, _ = _run_cmerge(Simulator, cycles, **shape)
+    compiled, _ = _run_cmerge(CompiledSimulator, cycles, **shape)
+    assert compiled == reference
+
+
+def test_cmerge_lock_example_contends():
+    """The pinned example really reaches the winner lock under a
+    higher-priority arrival, and both inputs' tokens get through."""
+    shape = dict(CMERGE_LOCK_EXAMPLE)
+    cycles = shape.pop("cycles")
+    (_, _, values, _), contended = _run_cmerge(Simulator, cycles, **shape)
+    assert contended
+    assert sorted(v for v, _ in values) == [100] * 3 + [200] * 3
